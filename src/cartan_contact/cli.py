@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,6 +70,9 @@ class InputSpec:
     points: list[Point]
     tol_identity: float
     tol_regression: float
+    # settings the input file gave and no command-line flag replaced, e.g.
+    # ("tol.identity", "sampling")
+    from_file: tuple[str, ...] = ()
 
 
 # -- formatting ---------------------------------------------------------------
@@ -170,18 +174,25 @@ def load_spec(path_or_name: str, args) -> InputSpec:
     tol = raw.get("tol") or {}
     if not isinstance(tol, dict):
         raise CliError("tol must be an object")
-    tol_identity = float(tol.get("identity", IDENTITY_TOL))
-    tol_regression = float(tol.get("regression", REGRESSION_TOL))
+    tol_identity = _tol_value(tol, "identity", IDENTITY_TOL)
+    tol_regression = _tol_value(tol, "regression", REGRESSION_TOL)
+    from_file = []
     if getattr(args, "tol_identity", None) is not None:
         tol_identity = args.tol_identity
+    elif "identity" in tol:
+        from_file.append("tol.identity")
     if getattr(args, "tol_regression", None) is not None:
         tol_regression = args.tol_regression
+    elif "regression" in tol:
+        from_file.append("tol.regression")
 
     sampling = raw.get("sampling")
     if getattr(args, "points", None) is not None:
         sampling = {"points": _load_json_flag(args.points, "--points")}
     elif getattr(args, "grid", None) is not None:
         sampling = {"grid": _load_json_flag(args.grid, "--grid")}
+    elif sampling is not None:
+        from_file.append("sampling")
     points = _points_from_sampling(sampling)
 
     return InputSpec(
@@ -191,7 +202,19 @@ def load_spec(path_or_name: str, args) -> InputSpec:
         points=points,
         tol_identity=tol_identity,
         tol_regression=tol_regression,
+        from_file=tuple(from_file),
     )
+
+
+def _tol_value(tol: dict, key: str, default: float) -> float:
+    value = tol.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise CliError(f"tol.{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _load_json_flag(text: str, flag: str):
@@ -329,13 +352,18 @@ def cmd_compare(args) -> int:
     spec_b = load_spec(args.spec_b, args)
     dist_a = build_distribution(spec_a)
     dist_b = build_distribution(spec_b)
-    tol = spec_a.tol_regression
+    if spec_b.from_file:
+        # both sides are sampled and judged with A's settings
+        print(f"note: {', '.join(spec_b.from_file)} of {args.spec_b} ignored; "
+              f"compare uses those of {args.spec_a}", file=sys.stderr)
     try:
-        result = compare_pipeline(dist_a, dist_b, spec_a.points, regression_tol=tol)
+        result = compare_pipeline(dist_a, dist_b, spec_a.points,
+                                  regression_tol=spec_a.tol_regression,
+                                  identity_tol=spec_a.tol_identity)
     except (HolonomicError, MixedTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateInput as exc:
+    except ValueError as exc:  # DegenerateInput, or a side with no usable point
         raise CliError(str(exc)) from exc
     doc = {
         "schema": SCHEMA,

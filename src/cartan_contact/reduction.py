@@ -8,7 +8,11 @@ product on their span, the pipeline
 2. builds an adapted frame (Gram-Schmidt pair completed by the commutator)
    and its dual coframe (stage B0),
 3. rescales eta^3 so the eta^1^eta^2 coefficient of d(eta^3) becomes 1
-   (stage B1),
+   (stage B1).  On the stage-B0 section of step 2 that coefficient is
+   t12 = (d eta^3)(e1, e2) = -eta^3([e1, e2]) = -1 by duality, so
+   :func:`reduce` applies the exact scale -1 (eta^3 -> -eta^3, e3 -> -e3);
+   :func:`normalize_scale` divides by the symbolic t12 and so also serves
+   sections built by hand,
 4. absorbs the remaining d(eta^3) coefficients into eta^1, eta^2
    (stage B2), and
 5. extracts the scalar differential invariant M = a1^2 + a2^2 together with
@@ -265,15 +269,16 @@ def classify(D: Distribution, points) -> Classification:
     g12 = dot(D.X1, D.X2)
     records = []
     for p in points:
+        memo: dict = {}   # shared by the five fields at this point
         try:
-            v1 = n1.evaluate(p)
-            v2 = n2.evaluate(p)
-            g = g12.evaluate(p)
+            v1 = n1.evaluate(p, memo)
+            v2 = n2.evaluate(p, memo)
+            g = g12.evaluate(p, memo)
             area_sq = v1 * v1 * v2 * v2 - g * g
             if area_sq <= (HOLONOMIC_RTOL * v1 * v2) ** 2:
                 raise DegenerateInput("generators are linearly dependent", p)
-            vb = nb.evaluate(p)
-            d = det3.evaluate(p)
+            vb = nb.evaluate(p, memo)
+            d = det3.evaluate(p, memo)
         except DomainError:
             records.append(PointClassification(p, "undefined", None, None))
             continue
@@ -332,6 +337,23 @@ def contact_torsion(A: AdaptedCoframe) -> TorsionSlice:
     return TorsionSlice(*rows[2])
 
 
+def _apply_scale(A: AdaptedCoframe, scale) -> AdaptedCoframe:
+    """Stage B0 -> B1 by the structure-group element with rotation identity,
+    zero translations and scale ``scale``: eta^3 -> eta^3 / scale, dual frame
+    e3 -> scale * e3.
+
+    ``scale`` is a field, or the number -1, applied as the exact sign flip
+    eta^3 -> -eta^3, e3 -> -e3.
+    """
+    eta1, eta2, eta3 = A.coframe.forms
+    e1, e2, e3 = A.frame.fields
+    if scale == -1:
+        eta3, e3 = -eta3, -e3
+    else:
+        eta3, e3 = eta3 / scale, e3 * scale
+    return AdaptedCoframe(Coframe(eta1, eta2, eta3), Frame(e1, e2, e3), "B1")
+
+
 def normalize_scale(A: AdaptedCoframe, check_points=None) -> AdaptedCoframe:
     """Rescale eta^3 by its own torsion so that c3_12 becomes exactly 1.
 
@@ -339,6 +361,9 @@ def normalize_scale(A: AdaptedCoframe, check_points=None) -> AdaptedCoframe:
     translations and scale t12: eta^3 -> eta^3 / t12, dual frame
     e3 -> t12 * e3.  Negative t12 is allowed (the group only requires a
     nonzero scale); it flips the coframe orientation and leaves M unchanged.
+    Works on any stage-B0 section; on the one :func:`build_adapted` returns,
+    t12 = -1 identically, and :func:`reduce` applies that scale exactly
+    instead of dividing by the symbolic t12.
     """
     if A.stage != "B0":
         raise ValueError(f"normalize_scale expects stage B0, got {A.stage}")
@@ -351,13 +376,7 @@ def normalize_scale(A: AdaptedCoframe, check_points=None) -> AdaptedCoframe:
                 raise ContactDegeneracy(p, 0.0) from exc
             if abs(v) < CONTACT_TOL:
                 raise ContactDegeneracy(p, v)
-    eta1, eta2, eta3 = A.coframe.forms
-    e1, e2, e3 = A.frame.fields
-    return AdaptedCoframe(
-        Coframe(eta1, eta2, eta3 / t12),
-        Frame(e1, e2, e3 * t12),
-        "B1",
-    )
+    return _apply_scale(A, t12)
 
 
 def absorb_translations(A: AdaptedCoframe) -> AdaptedCoframe:
@@ -411,15 +430,23 @@ def extract_invariants(A: AdaptedCoframe) -> InvariantReport:
     )
 
 
-def _try_eval(f: ScalarField, p: Point) -> float | None:
+def _try_eval(f: ScalarField, p: Point, memo: dict) -> float | None:
     try:
-        return f.evaluate(p)
+        return f.evaluate(p, memo)
     except DomainError:
         return None
 
 
 def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> InvariantReport:
     """Run the full reduction over sample points.
+
+    The symbolic pipeline is built once: the stage-B0 section of
+    :func:`build_adapted`, the exact scale -1 to stage B1 (its t12 is -1 by
+    duality, see the module docstring), then :func:`absorb_translations` and
+    :func:`extract_invariants`.  The symbolic B0 t12 is still evaluated at
+    each point and reported as ``T312``, a free residual for that identity.
+    Each point's outputs are evaluated over one shared memo, so subtrees
+    they share are computed once per point.
 
     Classification failures raise :class:`HolonomicError` or
     :class:`MixedTypeError`; individual points where any stage is undefined,
@@ -438,7 +465,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
 
     b0 = build_adapted(D, points=())
     t12_b0 = contact_torsion(b0).t12
-    b1 = normalize_scale(b0)
+    b1 = _apply_scale(b0, -1)
     b2 = absorb_translations(b1)
     inv = extract_invariants(b2)
 
@@ -452,11 +479,13 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
         if abs(det3) <= POINT_HOLONOMIC_RTOL * scale:
             samples.append(SampleRecord(p, "holonomic-at-point", det3=det3))
             continue
-        t312 = _try_eval(t12_b0, p)
+        memo: dict = {}   # shared by the six outputs at this point
+        t312 = _try_eval(t12_b0, p, memo)
         if t312 is None or abs(t312) < CONTACT_TOL:
             samples.append(SampleRecord(p, "singular", det3=det3, T312=t312))
             continue
-        values = [_try_eval(f, p) for f in (inv.a1, inv.a2, inv.M, inv.dd_eta3, inv.q1_minus_p2)]
+        values = [_try_eval(f, p, memo)
+                  for f in (inv.a1, inv.a2, inv.M, inv.dd_eta3, inv.q1_minus_p2)]
         if any(v is None for v in values):
             samples.append(SampleRecord(p, "singular", det3=det3, T312=t312))
             continue
@@ -476,16 +505,18 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
 
 
 def compare(D1: Distribution, D2: Distribution, points,
-            regression_tol: float = REGRESSION_TOL) -> ComparisonResult:
+            regression_tol: float = REGRESSION_TOL,
+            identity_tol: float = IDENTITY_TOL) -> ComparisonResult:
     """Screen two distributions by their sampled invariant values.
 
     Verdict ``distinguished`` when the sampled M value sets share no value
     within tolerance, or when one M vanishes identically on the samples and
     the other does not.  Anything else is ``not distinguished by this test``:
-    agreement is necessary for equivalence, never sufficient.
+    agreement is necessary for equivalence, never sufficient.  Both sides
+    are reduced with ``identity_tol``, as :func:`reduce` uses it.
     """
-    ra = reduce(D1, points)
-    rb = reduce(D2, points)
+    ra = reduce(D1, points, identity_tol=identity_tol)
+    rb = reduce(D2, points, identity_tol=identity_tol)
     va = [s.M for s in ra.ok_samples()]
     vb = [s.M for s in rb.ok_samples()]
     if not va or not vb:

@@ -122,9 +122,11 @@ def _coord_key(var) -> int:
 class ScalarField:
     """Base class for symbolic expression nodes.
 
-    Instances are immutable after construction and safe to share between
-    threads; evaluation and differentiation never mutate shared state beyond
-    an internal derivative cache.
+    Instances are immutable after construction apart from a per-node
+    derivative cache that :meth:`diff` fills lazily.  Evaluation mutates no
+    node, so several threads may evaluate shared nodes; differentiation is
+    not guarded by a lock, so differentiate shared nodes from one thread at
+    a time.
     """
 
     __slots__ = ("_derivs",)
@@ -177,18 +179,28 @@ class ScalarField:
     # -- differentiation ----------------------------------------------------
 
     def diff(self, var) -> "ScalarField":
-        """Exact symbolic partial derivative with respect to x, y or z."""
+        """Exact symbolic partial derivative with respect to x, y or z.
+
+        Derivatives are cached per node.  The nodes whose derivative is not
+        cached yet are differentiated in post-order by an explicit stack, so
+        each ``_diff`` finds its children's derivatives cached and deep
+        expressions (long sums, say) need no recursion.
+        """
         k = _coord_key(var)
-        try:
-            cache = self._derivs
-        except AttributeError:
-            cache = {}
-            object.__setattr__(self, "_derivs", cache)
-        d = cache.get(k)
-        if d is None:
-            d = self._diff(k)
-            cache[k] = d
-        return d
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            cache = _deriv_cache(node)
+            if k in cache:
+                stack.pop()
+                continue
+            missing = [c for c in node._children if k not in _deriv_cache(c)]
+            if missing:
+                stack.extend(missing)
+                continue
+            cache[k] = node._diff(k)
+            stack.pop()
+        return self._derivs[k]
 
     def _diff(self, k: int) -> "ScalarField":
         raise NotImplementedError
@@ -198,14 +210,20 @@ class ScalarField:
     def __call__(self, point) -> float:
         return self.evaluate(point)
 
-    def evaluate(self, point) -> float:
+    def evaluate(self, point, memo: dict | None = None) -> float:
         """Value at ``point``; raises :class:`DomainError` where undefined.
 
-        Iterative with per-call memoisation over shared subtrees, so large
-        derived expressions evaluate in time linear in distinct nodes.
+        Iterative with memoisation over shared subtrees, so large derived
+        expressions evaluate in time linear in distinct nodes.  ``memo`` lets
+        several calls at the same point share that memoisation: pass one
+        empty dict to the evaluations of all fields wanted at a point, and a
+        subtree they share is computed once.  It maps node ``id`` to value,
+        so use a memo for one point only, and only while the fields evaluated
+        through it are alive.
         """
         pt = _point_tuple(point)
-        memo: dict[int, float] = {}
+        if memo is None:
+            memo = {}
         stack = [self]
         while stack:
             node = stack[-1]
@@ -465,6 +483,15 @@ class Call(ScalarField):
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
 _TWO = Const(2.0)
+
+
+def _deriv_cache(node: ScalarField) -> dict:
+    try:
+        return node._derivs
+    except AttributeError:
+        cache = {}
+        object.__setattr__(node, "_derivs", cache)
+        return cache
 
 
 def _sketch(node: ScalarField, depth: int) -> str:

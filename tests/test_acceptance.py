@@ -11,7 +11,8 @@ both examples (for heisenberg eta3 = dz + y dx - x dy, so d eta3 = -2 dx^dy).
 The stage-B0 adapted section is a different coframe: its frame is completed
 by e3 = [e1, e2], so duality forces (d eta3)(e1, e2) = -eta3([e1, e2]) =
 -eta3(e3) = -1 for every contact plane field.  Criterion 3 checks that
-identity too, since normalize_scale divides eta3 by this t12.
+identity too, since reduce takes stage B0 to B1 by the exact scale -1 that
+it implies, instead of dividing eta3 by this t12.
 """
 from __future__ import annotations
 

@@ -128,6 +128,27 @@ class TestAnalyze:
         _, second, _ = run_cli(capsys, "analyze", "heisenberg", "--format", "json")
         assert first == second
 
+    @pytest.mark.parametrize("key", ["identity", "regression"])
+    def test_non_numeric_tol_diagnostic(self, capsys, tmp_path, key):
+        spec = write_spec(tmp_path, name="badtol", tol={key: "abc"})
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"tol.{key}" in err and "'abc'" in err
+
+    def test_long_sum_component(self, capsys, tmp_path):
+        # X1 z-component c*x*y with c = 1 + ... + 500 = 125250, so
+        # [X1, X2] = (0, 0, 1 - c*x) and det3 = 1 - c*x
+        z = " + ".join(f"x*y*{i}" for i in range(1, 501))
+        spec = write_spec(tmp_path, name="long", x1=("1", "0", z),
+                          sampling={"points": [[0.5, 0.25, 0.3]]})
+        code, out, _ = run_cli(capsys, "analyze", spec, "--format", "json")
+        assert code == 0
+        record = json.loads(out)["records"][0]
+        assert record["status"] == "ok"
+        assert record["det3"] == 1 - 125250 * 0.5
+
     def test_tol_identity_flag_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "heisenberg",
                                "--points", "[[1,0,0.3]]", "--tol-identity", "1e-15",
@@ -162,6 +183,42 @@ class TestCompare:
         assert doc["verdict"] == "distinguished"
         assert doc["a"]["summary"]["M_max"] == pytest.approx(0.140625, abs=1e-6)
         assert doc["b"]["summary"]["M_max"] == pytest.approx(0.25, abs=1e-6)
+
+    def test_tol_identity_reaches_both_sides(self, capsys):
+        # at (0.5, -1, 0.3) heisenberg's residuals are a few ulp, not 0, so
+        # a tolerance of 1e-30 makes the point singular
+        flags = ["--points", "[[0.5,-1,0.3],[1,0,0.3]]", "--tol-identity", "1e-30",
+                 "--format", "json"]
+        code, out, _ = run_cli(capsys, "compare", "heisenberg", "cartan", *flags)
+        assert code == 0
+        doc = json.loads(out)
+        for side, name in (("a", "heisenberg"), ("b", "cartan")):
+            _, alone, _ = run_cli(capsys, "analyze", name, *flags)
+            assert doc[side]["summary"] == json.loads(alone)["summary"]
+        assert doc["a"]["summary"]["n_singular"] == 1
+
+    def test_no_usable_point_diagnostic(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "heisenberg", "cartan",
+                                 "--points", "[[0.5,-1,0.3]]", "--tol-identity", "1e-30")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "usable point" in err
+
+    def test_ignored_settings_of_b_noted(self, capsys, tmp_path):
+        plain = write_spec(tmp_path, name="plain")
+        own = write_spec(tmp_path, name="own", sampling={"points": [[0, 0, 0]]},
+                         tol={"identity": 1e-3, "regression": 0.5})
+        _, out_plain, err_plain = run_cli(capsys, "compare", "heisenberg", plain)
+        code, out_own, err_own = run_cli(capsys, "compare", "heisenberg", own)
+        assert code == 0
+        assert out_own == out_plain.replace("\tplain\t", "\town\t")
+        assert err_plain == ""
+        assert err_own.count("\n") == 1
+        assert "tol.identity, tol.regression, sampling" in err_own
+        # flags replace the file's settings on both sides: nothing is ignored
+        _, _, err = run_cli(capsys, "compare", "heisenberg", own, "--points", "[[1,0,0.3]]",
+                            "--tol-identity", "1e-8", "--tol-regression", "1e-6")
+        assert err == ""
 
     def test_holonomic_side_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "heisenberg", "exercise1a")

@@ -38,6 +38,7 @@ from cartan_contact.reduction import (
     normalize_scale,
     reduce,
 )
+from cartan_contact import corpus
 from helpers import rand_points
 
 ORIGIN = Point(0.0, 0.0, 0.0)
@@ -404,6 +405,65 @@ class TestReduce:
         assert rep.samples[0].M == pytest.approx(9 / 64, rel=1e-6)
 
 
+def distinct_nodes(f) -> int:
+    """Distinct node objects reachable from ``f``."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._children)
+    return len(seen)
+
+
+class TestUnitTorsionIdentity:
+    """reduce applies t12 = -1 exactly instead of dividing by the symbolic
+    t12, and evaluates each point's outputs over one shared memo."""
+
+    RESPAN = (1.3, -0.4, 0.5, 1.1)
+
+    def cases(self):
+        heisenberg = corpus.distribution("heisenberg")
+        a, b, c, d = self.RESPAN
+        respan = Distribution(a * heisenberg.X1 + b * heisenberg.X2,
+                              c * heisenberg.X1 + d * heisenberg.X2, name="respan")
+        return [heisenberg, corpus.distribution("cartan"), respan]
+
+    @pytest.mark.parametrize("name, bound", [("heisenberg", 1936), ("cartan", 262)])
+    def test_m_node_count_bound(self, name, bound):
+        # dividing by t12 gave 7923 (heisenberg) and 681 (cartan) nodes
+        rep = reduce(corpus.distribution(name), [ORIGIN])
+        assert distinct_nodes(rep.M) <= bound
+
+    def test_t312_is_minus_one_at_ok_points(self, grid):
+        for dist in self.cases():
+            rep = reduce(dist, grid)
+            assert rep.n_ok == len(grid)
+            for s in rep.ok_samples():
+                assert abs(s.T312 + 1.0) <= 1e-9, (dist.name, s.point)
+
+    def test_m_matches_division_by_t12(self, grid):
+        for dist in self.cases():
+            divided = full_pipeline(dist)[3].M
+            for s in reduce(dist, grid).ok_samples():
+                want = divided.evaluate(s.point)
+                # the floor covers round-off where M vanishes (the z-axis)
+                assert abs(s.M - want) <= max(1e-12 * abs(want), 1e-15), (dist.name, s.point)
+
+    def test_shared_memo_is_bit_identical(self, grid):
+        for dist in self.cases():
+            rep = reduce(dist, grid)
+            t12 = contact_torsion(build_adapted(dist, points=())).t12
+            outputs = (rep.a1, rep.a2, rep.M, rep.dd_eta3, rep.q1_minus_p2)
+            for s in rep.samples:
+                memo = {}
+                shared = [f.evaluate(s.point, memo) for f in outputs]
+                fresh = [f.evaluate(s.point) for f in outputs]
+                assert shared == fresh
+                assert [s.a1, s.a2, s.M, s.dd_eta3, s.q1_minus_p2] == fresh
+                assert s.T312 == t12.evaluate(s.point)
+
+
 class TestInvariance:
     def test_respan_invariance(self, heisenberg, grid):
         rng = random.Random(7)
@@ -462,6 +522,13 @@ class TestCompare:
         base = {s.point: s.M for s in result.report_a.ok_samples()}
         for s in result.report_b.ok_samples():
             assert abs(s.M - base[s.point]) <= 1e-6 * max(1.0, abs(base[s.point]))
+
+    def test_identity_tol_reaches_both_sides(self, heisenberg, cartan, grid):
+        result = compare(heisenberg, cartan, grid, identity_tol=1e-30)
+        for report, dist in ((result.report_a, heisenberg), (result.report_b, cartan)):
+            alone = reduce(dist, grid, identity_tol=1e-30)
+            assert [s.status for s in report.samples] == [s.status for s in alone.samples]
+        assert result.report_a.n_ok < len(grid)
 
     def test_zero_invariant_distinguishes(self, heisenberg):
         # along the z-axis the Heisenberg invariant vanishes identically while

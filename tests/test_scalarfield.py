@@ -144,6 +144,14 @@ class TestEvaluate:
         p = (0.25, -0.75, 0.5)
         assert f.evaluate(p) == f.evaluate(p)
 
+    def test_shared_memo_matches_fresh_evaluation(self, rng):
+        f = rand_smooth_field(rng)
+        fields = [f, f.diff("x"), f.diff("x").diff("y"), f * f.diff("z")]
+        for p in rand_points(rng, 5):
+            memo = {}
+            assert [g.evaluate(p, memo) for g in fields] == [g.evaluate(p) for g in fields]
+            assert id(f) in memo
+
     def test_accepts_point_and_tuple(self):
         f = parse("x + y*z")
         assert f.evaluate(Point(1, 2, 3)) == f.evaluate((1, 2, 3)) == 7.0
@@ -195,6 +203,12 @@ class TestDifferentiate:
     def test_derivative_cache_returns_same_object(self):
         f = parse("sin(x*y)")
         assert f.diff("x") is f.diff("x")
+
+    def test_long_sum_without_recursion(self):
+        # the parsed sum nests 2000 Add nodes deep, past the interpreter's
+        # recursion limit; d/dx sum(x*y*i) = y * 2000*2001/2
+        f = parse(" + ".join(f"x*y*{i}" for i in range(1, 2001)))
+        assert f.diff("x").evaluate((0.5, 0.25, 0.0)) == 0.25 * 2001000
 
     def test_finite_difference_agreement(self, rng):
         # 20 random smooth fields, 20 random points, all three axes
