@@ -1,0 +1,40 @@
+"""Byte-exact CLI output against files recorded under ``tests/golden/``.
+
+Each case runs the CLI in process and compares stdout and stderr with
+``<case>.out`` and ``<case>.err`` byte for byte.  ``analyze heisenberg`` is
+left out on purpose: its residual digits near 1e-16 depend on the shape of
+the expression DAG, which a correct change may alter; cartan's residuals are
+exactly 0.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from cartan_contact.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MIXED = str(GOLDEN / "mixed.json")
+
+# (case, argv, exit code)
+CASES = (
+    ("analyze-cartan", ("analyze", "cartan"), 0),
+    ("analyze-exercise1a", ("analyze", "exercise1a"), 2),
+    ("analyze-mixed", ("analyze", MIXED), 2),
+    ("compare-heisenberg-cartan", ("compare", "heisenberg", "cartan"), 0),
+    ("corpus", ("corpus",), 0),
+    ("analyze-cartan-points-json",
+     ("analyze", "cartan", "--points", "[[1,0,0.3],[0,0.5,0.3]]", "--format", "json"), 0),
+    ("compare-heisenberg-cartan-json",
+     ("compare", "heisenberg", "cartan", "--format", "json"), 0),
+    ("corpus-json", ("corpus", "--format", "json"), 0),
+)
+
+
+@pytest.mark.parametrize("case, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(capsys, case, argv, code):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{case}.out").read_text()
+    assert captured.err == (GOLDEN / f"{case}.err").read_text()
