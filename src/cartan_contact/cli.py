@@ -43,6 +43,7 @@ from .reduction import (
     HolonomicError,
     InvariantReport,
     MixedTypeError,
+    SampleRecord,
     compare as compare_pipeline,
     default_grid_points,
     grid_axis,
@@ -56,6 +57,11 @@ SCHEMA = "cartan-contact/1"
 
 _RECORD_COLUMNS = ("point_x", "point_y", "point_z", "status", "det3", "T312",
                    "a1", "a2", "M", "dd_eta3", "q1_minus_p2")
+_SIDE_COLUMNS = ("classification", "n_ok", "n_singular", "M_min", "M_max")
+_CORPUS_COLUMNS = ("name", "classification", "T312_abs", "M_min", "M_max", "regression")
+# statuses a point classified without a reduction reports
+_CLASSIFIED_STATUS = {"holonomic": "holonomic-at-point", "contact": "singular",
+                      "undefined": "singular"}
 
 
 class CliError(Exception):
@@ -79,10 +85,9 @@ class InputSpec:
 
 
 def _fmt(v) -> str:
+    # table cells come from documents whose numbers _num has rounded
     if v is None:
         return "-"
-    if isinstance(v, float) and v == 0.0:
-        v = 0.0  # normalise -0.0
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -92,12 +97,13 @@ def _num(v):
     if v is None:
         return None
     if v == 0.0:
-        v = 0.0
+        v = 0.0  # normalise -0.0
     return float(f"{v:.12g}")
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2)
+def _table(*rows) -> str:
+    """One line per row, its cells formatted by :func:`_fmt` and tab-separated."""
+    return "".join("\t".join(_fmt(c) for c in row) + "\n" for row in rows)
 
 
 # -- input loading ------------------------------------------------------------
@@ -240,82 +246,82 @@ def build_distribution(spec: InputSpec) -> Distribution:
 # -- report assembly ----------------------------------------------------------
 
 
-def _record_dict(point, status, det3=None, t312=None, a1=None, a2=None, m=None,
-                 dd=None, q1p2=None):
+def _record_dict(s: SampleRecord) -> dict:
     return {
-        "point": [_num(point.x), _num(point.y), _num(point.z)],
-        "status": status,
-        "det3": _num(det3),
-        "T312": _num(t312),
-        "a1": _num(a1),
-        "a2": _num(a2),
-        "M": _num(m),
-        "residuals": {"dd_eta3": _num(dd), "q1_minus_p2": _num(q1p2)},
+        "point": [_num(c) for c in s.point],
+        "status": s.status,
+        "det3": _num(s.det3),
+        "T312": _num(s.T312),
+        "a1": _num(s.a1),
+        "a2": _num(s.a2),
+        "M": _num(s.M),
+        "residuals": {"dd_eta3": _num(s.dd_eta3), "q1_minus_p2": _num(s.q1_minus_p2)},
     }
+
+
+def _report(name: str, kind: str, samples) -> dict:
+    m_ok = [s.M for s in samples if s.status == "ok"]
+    summary = {
+        "classification": kind,
+        "M_min": _num(min(m_ok)) if m_ok else None,
+        "M_max": _num(max(m_ok)) if m_ok else None,
+        "n_ok": len(m_ok),
+        "n_singular": len(samples) - len(m_ok),
+    }
+    return {"schema": SCHEMA, "name": name, "summary": summary,
+            "records": [_record_dict(s) for s in samples]}
 
 
 def report_from_invariants(name: str, report: InvariantReport) -> dict:
-    records = [
-        _record_dict(s.point, s.status, s.det3, s.T312, s.a1, s.a2, s.M,
-                     s.dd_eta3, s.q1_minus_p2)
-        for s in report.samples
-    ]
-    m_range = report.m_range()
-    summary = {
-        "classification": "contact",
-        "M_min": _num(m_range[0]) if m_range else None,
-        "M_max": _num(m_range[1]) if m_range else None,
-        "n_ok": report.n_ok,
-        "n_singular": report.n_singular,
-    }
-    return {"schema": SCHEMA, "name": name, "summary": summary, "records": records}
+    return _report(name, "contact", report.samples)
 
 
 def report_from_classification(name: str, classification) -> dict:
-    status_map = {"holonomic": "holonomic-at-point", "contact": "singular",
-                  "undefined": "singular"}
-    records = [
-        _record_dict(r.point, status_map[r.status], det3=r.det3)
-        for r in classification.records
-    ]
-    summary = {
-        "classification": classification.kind,
-        "M_min": None,
-        "M_max": None,
-        "n_ok": 0,
-        "n_singular": len(records),
-    }
-    return {"schema": SCHEMA, "name": name, "summary": summary, "records": records}
+    samples = [SampleRecord(r.point, _CLASSIFIED_STATUS[r.status], det3=r.det3)
+               for r in classification.records]
+    return _report(name, classification.kind, samples)
 
 
-def render_analyze_table(report: dict) -> str:
-    lines = [
-        f"schema\t{report['schema']}",
-        f"name\t{report['name']}",
-        f"classification\t{report['summary']['classification']}",
-        "header\t" + "\t".join(_RECORD_COLUMNS),
-    ]
-    for r in report["records"]:
-        res = r["residuals"]
-        cells = [_fmt(r["point"][0]), _fmt(r["point"][1]), _fmt(r["point"][2]),
-                 r["status"], _fmt(r["det3"]), _fmt(r["T312"]), _fmt(r["a1"]),
-                 _fmt(r["a2"]), _fmt(r["M"]), _fmt(res["dd_eta3"]),
-                 _fmt(res["q1_minus_p2"])]
-        lines.append("record\t" + "\t".join(cells))
-    s = report["summary"]
-    lines.append(
-        "summary\tn_ok\t{}\tn_singular\t{}\tM_min\t{}\tM_max\t{}".format(
-            s["n_ok"], s["n_singular"], _fmt(s["M_min"]), _fmt(s["M_max"])
-        )
-    )
-    return "\n".join(lines) + "\n"
+def _analyze_rows(doc: dict):
+    s = doc["summary"]
+    yield ("schema", doc["schema"])
+    yield ("name", doc["name"])
+    yield ("classification", s["classification"])
+    yield ("header", *_RECORD_COLUMNS)
+    for r in doc["records"]:
+        cells = {**dict(zip(_RECORD_COLUMNS, r["point"])), **r, **r["residuals"]}
+        yield ("record", *(cells[c] for c in _RECORD_COLUMNS))
+    yield ("summary", "n_ok", s["n_ok"], "n_singular", s["n_singular"],
+           "M_min", s["M_min"], "M_max", s["M_max"])
 
 
-def _emit(report: dict, fmt: str, render_table) -> None:
+def _compare_rows(doc: dict):
+    yield ("schema", doc["schema"])
+    yield ("header", "side", "name", *_SIDE_COLUMNS)
+    for side in ("a", "b"):
+        s = doc[side]["summary"]
+        yield ("side", side, doc[side]["name"], *(s[c] for c in _SIDE_COLUMNS))
+    yield ("verdict", doc["verdict"])
+
+
+def _corpus_rows(doc: dict):
+    yield ("schema", doc["schema"])
+    yield ("header", *_CORPUS_COLUMNS)
+    for r in doc["rows"]:
+        yield ("row", *(r[c] for c in _CORPUS_COLUMNS))
+    if "failure" in doc:
+        f = doc["failure"]
+        point = ",".join(_fmt(c) for c in f["point"]) if f["point"] else None
+        yield ("failure", f["name"], point, "expected", f["expected"], "got", f["got"])
+    yield ("result", doc["result"])
+
+
+def _emit(report: dict, fmt: str, rows) -> None:
+    """Write ``report`` as JSON, or as the table of ``rows(report)``."""
     if fmt == "json":
-        sys.stdout.write(_emit_json(report) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        sys.stdout.write(render_table(report))
+        sys.stdout.write(_table(*rows(report)))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -328,17 +334,14 @@ def cmd_analyze(args) -> int:
         report = reduce_pipeline(dist, spec.points, identity_tol=spec.tol_identity)
     except (HolonomicError, MixedTypeError) as exc:
         classification = exc.classification
-        if classification is None:
-            raise CliError(str(exc)) from exc
-        doc = report_from_classification(spec.name, classification)
-        _emit(doc, args.format, render_analyze_table)
-        kind = classification.kind
-        print(f"classification: {kind} (no contact reduction performed)", file=sys.stderr)
+        _emit(report_from_classification(spec.name, classification), args.format,
+              _analyze_rows)
+        print(f"classification: {classification.kind} (no contact reduction performed)",
+              file=sys.stderr)
         return 2
     except DegenerateInput as exc:
         raise CliError(str(exc)) from exc
-    doc = report_from_invariants(spec.name, report)
-    _emit(doc, args.format, render_analyze_table)
+    _emit(report_from_invariants(spec.name, report), args.format, _analyze_rows)
     return 0
 
 
@@ -371,22 +374,41 @@ def cmd_compare(args) -> int:
         "b": _side_summary(spec_b.name, result.report_b),
         "verdict": result.verdict,
     }
-
-    def table(doc):
-        lines = [
-            f"schema\t{doc['schema']}",
-            "header\tside\tname\tclassification\tn_ok\tn_singular\tM_min\tM_max",
-        ]
-        for side in ("a", "b"):
-            s = doc[side]["summary"]
-            lines.append("side\t{}\t{}\t{}\t{}\t{}\t{}\t{}".format(
-                side, doc[side]["name"], s["classification"], s["n_ok"],
-                s["n_singular"], _fmt(s["M_min"]), _fmt(s["M_max"])))
-        lines.append(f"verdict\t{doc['verdict']}")
-        return "\n".join(lines) + "\n"
-
-    _emit(doc, args.format, table)
+    _emit(doc, args.format, _compare_rows)
     return 0
+
+
+def _corpus_row(name: str, tol_identity: float, tol_regression: float):
+    """Reduce one builtin on the default grid and check it against its
+    expected kind and closed form; returns its row and its first failure."""
+    builtin = corpus_mod.get(name)
+    row = {"name": name, "classification": "contact", "T312_abs": None,
+           "M_min": None, "M_max": None, "regression": "pass"}
+    ok = ()
+    try:
+        report = reduce_pipeline(corpus_mod.distribution(name), default_grid_points(),
+                                 identity_tol=tol_identity)
+    except (HolonomicError, MixedTypeError) as exc:
+        row["classification"] = exc.classification.kind
+    else:
+        ok = report.ok_samples()
+        if ok:
+            row["T312_abs"] = _num(abs(ok[0].T312))
+            row["M_min"], row["M_max"] = (_num(m) for m in report.m_range())
+    failure = None
+    if builtin.expected_kind != row["classification"]:
+        failure = {"name": name, "point": None,
+                   "expected": builtin.expected_kind, "got": row["classification"]}
+    elif builtin.m_closed is not None:
+        for s in ok:
+            want = builtin.m_closed(*s.point)
+            if abs(s.M - want) > max(tol_regression * abs(want), 1e-9):
+                failure = {"name": name, "point": [_num(c) for c in s.point],
+                           "expected": _num(want), "got": _num(s.M)}
+                break
+    if failure is not None:
+        row["regression"] = "fail"
+    return row, failure
 
 
 def cmd_corpus(args) -> int:
@@ -396,72 +418,14 @@ def cmd_corpus(args) -> int:
         return 0
     tol_regression = args.tol_regression if args.tol_regression is not None else REGRESSION_TOL
     tol_identity = args.tol_identity if args.tol_identity is not None else IDENTITY_TOL
-    rows = []
-    failure = None
-    for name in corpus_mod.names():
-        builtin = corpus_mod.get(name)
-        dist = corpus_mod.distribution(name)
-        points = default_grid_points()
-        row = {"name": name, "classification": None, "T312_abs": None,
-               "M_min": None, "M_max": None, "regression": "pass"}
-        try:
-            report = reduce_pipeline(dist, points, identity_tol=tol_identity)
-        except (HolonomicError, MixedTypeError) as exc:
-            kind = exc.classification.kind if exc.classification else "holonomic"
-            row["classification"] = kind
-            if builtin.expected_kind != kind:
-                row["regression"] = "fail"
-                failure = failure or {"name": name, "point": None,
-                                      "expected": builtin.expected_kind, "got": kind}
-            rows.append(row)
-            continue
-        row["classification"] = "contact"
-        ok = report.ok_samples()
-        if ok:
-            row["T312_abs"] = _num(abs(ok[0].T312))
-            m_range = report.m_range()
-            row["M_min"], row["M_max"] = _num(m_range[0]), _num(m_range[1])
-        if builtin.expected_kind != "contact":
-            row["regression"] = "fail"
-            failure = failure or {"name": name, "point": None,
-                                  "expected": builtin.expected_kind, "got": "contact"}
-        elif builtin.m_closed is not None:
-            for s in ok:
-                want = builtin.m_closed(s.point.x, s.point.y, s.point.z)
-                if abs(s.M - want) > max(tol_regression * abs(want), 1e-9):
-                    row["regression"] = "fail"
-                    if failure is None:
-                        failure = {"name": name,
-                                   "point": [_num(s.point.x), _num(s.point.y), _num(s.point.z)],
-                                   "expected": _num(want), "got": _num(s.M)}
-                    break
-        rows.append(row)
-    passed = all(r["regression"] == "pass" for r in rows)
-    doc = {"schema": SCHEMA, "rows": rows, "result": "pass" if passed else "fail"}
-    if failure is not None:
-        doc["failure"] = failure
-
-    def table(doc):
-        lines = [
-            f"schema\t{doc['schema']}",
-            "header\tname\tclassification\tT312_abs\tM_min\tM_max\tregression",
-        ]
-        for r in doc["rows"]:
-            lines.append("row\t{}\t{}\t{}\t{}\t{}\t{}".format(
-                r["name"], r["classification"], _fmt(r["T312_abs"]),
-                _fmt(r["M_min"]), _fmt(r["M_max"]), r["regression"]))
-        if "failure" in doc:
-            f = doc["failure"]
-            point = "-" if f["point"] is None else ",".join(_fmt(c) for c in f["point"])
-            lines.append("failure\t{}\t{}\texpected\t{}\tgot\t{}".format(
-                f["name"], point, _fmt(f["expected"]) if isinstance(f["expected"], float)
-                else f["expected"],
-                _fmt(f["got"]) if isinstance(f["got"], float) else f["got"]))
-        lines.append(f"result\t{doc['result']}")
-        return "\n".join(lines) + "\n"
-
-    _emit(doc, args.format, table)
-    return 0 if passed else 1
+    results = [_corpus_row(name, tol_identity, tol_regression) for name in corpus_mod.names()]
+    failures = [f for _, f in results if f is not None]
+    doc = {"schema": SCHEMA, "rows": [row for row, _ in results],
+           "result": "fail" if failures else "pass"}
+    if failures:
+        doc["failure"] = failures[0]
+    _emit(doc, args.format, _corpus_rows)
+    return 1 if failures else 0
 
 
 # -- entry point ----------------------------------------------------------------
@@ -471,10 +435,11 @@ def _add_common(p: argparse.ArgumentParser, points_grid: bool, regression: bool)
     p.add_argument("--format", choices=("table", "json"), default="table",
                    help="output format (default: table)")
     p.add_argument("--tol-identity", type=float, default=None, metavar="TOL",
-                   help="residual tolerance for exact identities (default 1e-8)")
+                   help=f"residual tolerance for exact identities (default {IDENTITY_TOL:g})")
     if regression:
         p.add_argument("--tol-regression", type=float, default=None, metavar="TOL",
-                       help="relative tolerance against reference values (default 1e-6)")
+                       help="relative tolerance against reference values "
+                            f"(default {REGRESSION_TOL:g})")
     if points_grid:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--points", metavar="JSON",

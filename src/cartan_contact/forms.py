@@ -45,7 +45,8 @@ __all__ = [
 
 _AXES = ("x", "y", "z")
 
-# relative threshold below which a determinant or normaliser counts as vanished
+# relative threshold of degeneracy, here and in reduction.classify: an area,
+# normaliser or determinant at or below this times its scale counts as vanished
 _DEGENERACY_RTOL = 1e-9
 
 
@@ -190,16 +191,16 @@ def gram_schmidt(X1: VectorField, X2: VectorField, check_points=None):
     """Orthonormalise (X1, X2) under the ambient Euclidean product.
 
     Returns (e1, e2) with e1 = X1/|X1| and e2 the normalised component of X2
-    orthogonal to e1; spans and in-plane orientation are preserved.  When
-    ``check_points`` is given, raises :class:`DegenerateInput` at any point
-    where a normalisation denominator vanishes.
+    orthogonal to e1; spans and in-plane orientation are preserved.  Raises
+    :class:`DegenerateInput` at any of ``check_points`` where a
+    normalisation denominator vanishes.
     """
     n1 = norm(X1)
     e1 = X1 / n1
     u2 = X2 - dot(X2, e1) * e1
     n2 = norm(u2)
     e2 = u2 / n2
-    if check_points is not None:
+    if check_points:
         scale2 = norm(X2)
         for p in check_points:
             try:
@@ -270,22 +271,23 @@ class Coframe:
 def complete_frame(e1: VectorField, e2: VectorField, check_points=None) -> Frame:
     """Complete an orthonormal pair to a frame with e3 = [e1, e2].
 
-    The commutator sign is exactly e3 = +[e1, e2].  With ``check_points`` the
-    frame determinant is checked there and :class:`DegenerateInput` raised
-    where it vanishes (the holonomic locus).
+    The commutator sign is exactly e3 = +[e1, e2].  The frame determinant is
+    checked at ``check_points`` and :class:`DegenerateInput` raised where it
+    vanishes (the holonomic locus).
     """
     frame = Frame(e1, e2, commutator(e1, e2))
-    if check_points is not None:
+    if check_points:
         frame.require_nondegenerate(check_points)
     return frame
 
 
-def dual_coframe(F: Frame, check_points=None) -> Coframe:
+def dual_coframe(F: Frame) -> Coframe:
     """Coframe (eta^1, eta^2, eta^3) with eta^i(e_j) = delta^i_j.
 
     Computed symbolically as the adjugate of the component matrix over its
     determinant: row i of the cofactor matrix of the frame rows, divided by
-    det.  No pivoting; conditioning is handled by per-point domain checks.
+    det.  No pivoting; conditioning is handled by per-point domain checks,
+    or beforehand by :meth:`Frame.require_nondegenerate`.
     """
     (a, b, c), (d, e, f), (g, h, i) = F.matrix()
     cof = (
@@ -294,8 +296,6 @@ def dual_coframe(F: Frame, check_points=None) -> Coframe:
         (b * f - c * e, c * d - a * f, a * e - b * d),
     )
     det = a * cof[0][0] + b * cof[0][1] + c * cof[0][2]
-    if check_points is not None:
-        F.require_nondegenerate(check_points)
     rows = [OneForm(*(entry / det for entry in cof[k])) for k in range(3)]
     return Coframe(*rows)
 

@@ -24,10 +24,11 @@ second matrix inversion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .scalarfield import DomainError, Point, ScalarField
 from .forms import (
+    _DEGENERACY_RTOL,
     Coframe,
     DegenerateInput,
     Frame,
@@ -70,8 +71,6 @@ __all__ = [
     "grid_axis",
 ]
 
-# relative threshold deciding holonomicity in classify
-HOLONOMIC_RTOL = 1e-9
 # per-point thresholds of the sampling policy in reduce
 POINT_HOLONOMIC_RTOL = 1e-8
 CONTACT_TOL = 1e-8
@@ -275,7 +274,7 @@ def classify(D: Distribution, points) -> Classification:
             v2 = n2.evaluate(p, memo)
             g = g12.evaluate(p, memo)
             area_sq = v1 * v1 * v2 * v2 - g * g
-            if area_sq <= (HOLONOMIC_RTOL * v1 * v2) ** 2:
+            if area_sq <= (_DEGENERACY_RTOL * v1 * v2) ** 2:
                 raise DegenerateInput("generators are linearly dependent", p)
             vb = nb.evaluate(p, memo)
             d = det3.evaluate(p, memo)
@@ -283,7 +282,7 @@ def classify(D: Distribution, points) -> Classification:
             records.append(PointClassification(p, "undefined", None, None))
             continue
         scale = v1 * v2 * vb
-        status = "holonomic" if abs(d) <= HOLONOMIC_RTOL * scale else "contact"
+        status = "holonomic" if abs(d) <= _DEGENERACY_RTOL * scale else "contact"
         records.append(PointClassification(p, status, d, scale))
     defined = [r.status for r in records if r.status != "undefined"]
     if not defined:
@@ -297,38 +296,33 @@ def classify(D: Distribution, points) -> Classification:
     return Classification(kind, tuple(records))
 
 
-def adapted_from_orthonormal(e1: VectorField, e2: VectorField, points=None) -> AdaptedCoframe:
+def adapted_from_orthonormal(e1: VectorField, e2: VectorField, points) -> AdaptedCoframe:
     """Stage-B0 coframe for an already orthonormal spanning pair.
 
-    The frame is (e1, e2, [e1, e2]) and the coframe its dual.  ``points``
-    behave as in :func:`build_adapted`.
+    The frame is (e1, e2, [e1, e2]) and the coframe its dual; the frame is
+    verified at ``points`` as in :func:`build_adapted`.
     """
-    if points is None:
-        points = default_grid_points()
     try:
-        frame = complete_frame(e1, e2, check_points=points if points else None)
+        frame = complete_frame(e1, e2, check_points=points)
     except DegenerateInput as exc:
         raise HolonomicError(
             message=f"holonomic distribution: frame degenerates ({exc})"
         ) from exc
-    coframe = dual_coframe(frame)
-    return AdaptedCoframe(coframe, frame, "B0")
+    return AdaptedCoframe(dual_coframe(frame), frame, "B0")
 
 
-def build_adapted(D: Distribution, points=None) -> AdaptedCoframe:
+def build_adapted(D: Distribution, points) -> AdaptedCoframe:
     """Adapted stage-B0 coframe of a contact distribution.
 
     Orthonormalises the generators, completes the frame with e3 = [e1, e2]
-    and inverts symbolically for the dual coframe.  ``points`` are where
-    nondegeneracy is verified: ``None`` means the default grid, an empty
-    sequence skips verification (the reduce driver applies its own per-point
-    policy instead).  Raises :class:`HolonomicError` when the frame
-    degenerates at a verification point.
+    and inverts symbolically for the dual coframe.  Nondegeneracy is
+    verified at ``points``, for instance :func:`default_grid_points`; an
+    empty sequence verifies nowhere (:func:`reduce` applies its own
+    per-point policy instead).  Raises :class:`HolonomicError` when the
+    frame degenerates at a verification point.
     """
-    if points is None:
-        points = default_grid_points()
-    e1, e2 = gram_schmidt(D.X1, D.X2, check_points=points if points else None)
-    return adapted_from_orthonormal(e1, e2, points=points)
+    e1, e2 = gram_schmidt(D.X1, D.X2, check_points=points)
+    return adapted_from_orthonormal(e1, e2, points)
 
 
 def contact_torsion(A: AdaptedCoframe) -> TorsionSlice:
@@ -449,11 +443,12 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     they share are computed once per point.
 
     Classification failures raise :class:`HolonomicError` or
-    :class:`MixedTypeError`; individual points where any stage is undefined,
-    where |det3| falls below the per-point threshold, or where the contact
-    torsion nearly vanishes are marked (statuses ``singular`` and
-    ``holonomic-at-point``) and excluded from aggregates.  A q1 - p2 residual
-    beyond 1e-6 at an otherwise healthy point raises
+    :class:`MixedTypeError`, with the :class:`Classification` attached;
+    individual points where any stage is undefined or where |det3| falls
+    below the per-point threshold are marked (statuses ``singular`` and
+    ``holonomic-at-point``) and excluded from aggregates.  The contact
+    torsion needs no threshold of its own: wherever T312 is defined it is
+    -1.  A q1 - p2 residual beyond 1e-6 at an otherwise healthy point raises
     :class:`ConsistencyError`, since the identity is exact.
     """
     points = [p if isinstance(p, Point) else Point(*p) for p in points]
@@ -481,7 +476,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
             continue
         memo: dict = {}   # shared by the six outputs at this point
         t312 = _try_eval(t12_b0, p, memo)
-        if t312 is None or abs(t312) < CONTACT_TOL:
+        if t312 is None:
             samples.append(SampleRecord(p, "singular", det3=det3, T312=t312))
             continue
         values = [_try_eval(f, p, memo)
@@ -495,13 +490,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
         status = "ok" if abs(dd) <= identity_tol and abs(q1p2) <= identity_tol else "singular"
         samples.append(SampleRecord(p, status, det3=det3, T312=t312,
                                     a1=a1, a2=a2, M=m, dd_eta3=dd, q1_minus_p2=q1p2))
-    return InvariantReport(
-        a1=inv.a1, a2=inv.a2, M=inv.M,
-        A1=inv.A1, A2=inv.A2, A3=inv.A3,
-        dd_eta3=inv.dd_eta3, q1_minus_p2=inv.q1_minus_p2,
-        samples=tuple(samples),
-        classification=cls,
-    )
+    return replace(inv, samples=tuple(samples), classification=cls)
 
 
 def compare(D1: Distribution, D2: Distribution, points,

@@ -36,7 +36,7 @@ __all__ = [
 
 _COORD_NAMES = ("x", "y", "z")
 _COORD_INDEX = {"x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
-_FUNCTION_NAMES = ("sqrt", "sin", "cos", "exp")
+_FUNCTIONS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 # printing precedence levels
 _P_ADD, _P_MUL, _P_UNARY, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
@@ -462,19 +462,14 @@ class Call(ScalarField):
         return _mul(self, du)  # exp
 
     def _eval(self, kids, pt):
-        v = kids[0]
-        if self.fn == "sqrt":
-            if v < 0.0:
-                raise DomainError("square root of a negative number", pt, self._short_text())
-            return math.sqrt(v)
-        if self.fn == "sin":
-            return math.sin(v)
-        if self.fn == "cos":
-            return math.cos(v)
+        # on finite arguments only sqrt raises ValueError, only exp OverflowError
         try:
-            return math.exp(v)
+            return _FUNCTIONS[self.fn](kids[0])
+        except ValueError:
+            reason = "square root of a negative number"
         except OverflowError:
-            raise DomainError("overflow", pt, self._short_text()) from None
+            reason = "overflow"
+        raise DomainError(reason, pt, self._short_text())
 
     def _text(self):
         return f"{self.fn}({self.arg.to_text()})"
@@ -586,17 +581,8 @@ def _pow(base, n: int):
 
 def _call(fn, arg):
     if _is_const(arg):
-        v = arg.value
         try:
-            if fn == "sqrt":
-                folded = math.sqrt(v)
-            elif fn == "sin":
-                folded = math.sin(v)
-            elif fn == "cos":
-                folded = math.cos(v)
-            else:
-                folded = math.exp(v)
-            return Const(folded)
+            return Const(_FUNCTIONS[fn](arg.value))
         except (ValueError, OverflowError):
             pass  # keep the node; evaluation reports the domain error
     return Call(fn, arg)
@@ -779,7 +765,7 @@ class _Parser:
             name = tok.value
             if name in _COORD_INDEX:
                 return Var(_COORD_INDEX[name])
-            if name in _FUNCTION_NAMES:
+            if name in _FUNCTIONS:
                 opening = self.advance()
                 if opening.kind != "op" or opening.value != "(":
                     self.fail(f"expected '(' after {name!r}", opening)

@@ -202,7 +202,7 @@ class TestCompleteFrameAndDual:
     def test_singular_frame_rejected(self):
         F = Frame(D_DX, D_DY, D_DX)
         with pytest.raises(DegenerateInput):
-            dual_coframe(F, check_points=[ORIGIN])
+            F.require_nondegenerate([ORIGIN])
 
 
 class TestExteriorDerivative:

@@ -123,7 +123,7 @@ class TestClassify:
 
 class TestBuildAdapted:
     def test_heisenberg_origin_coframe(self, heisenberg):
-        A = build_adapted(heisenberg)
+        A = build_adapted(heisenberg, default_grid_points())
         assert A.stage == "B0"
         assert A.coframe.eta1.at(ORIGIN) == pytest.approx((1, 0, 0), abs=1e-12)
         assert A.coframe.eta2.at(ORIGIN) == pytest.approx((0, 1, 0), abs=1e-12)
@@ -156,7 +156,7 @@ class TestBuildAdapted:
 
     def test_holonomic_input_rejected(self, exercise1a):
         with pytest.raises(HolonomicError):
-            build_adapted(exercise1a)
+            build_adapted(exercise1a, default_grid_points())
 
     def test_duality_after_build(self, cartan, rng):
         A = build_adapted(cartan, points=())
