@@ -41,6 +41,11 @@ _FUNCTIONS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.e
 # printing precedence levels
 _P_ADD, _P_MUL, _P_UNARY, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
 
+# deepest nesting the parser accepts.  Each parenthesised group, function
+# call, unary minus and exponent adds a level; a level of parentheses takes
+# five Python frames, so 160 levels stay well inside the default limit of 1000
+_MAX_DEPTH = 160
+
 
 class ExpressionSyntaxError(ValueError):
     """Malformed expression text; ``offset`` is the byte offset of the problem."""
@@ -133,6 +138,7 @@ class ScalarField:
 
     _children: tuple = ()
     _prec = _P_ATOM
+    _kid_prec: tuple = ()   # minimum precedence of each child's printed text
 
     # -- arithmetic closure -------------------------------------------------
 
@@ -249,20 +255,16 @@ class ScalarField:
 
     def to_text(self) -> str:
         """Render back to the expression grammar; parses to an equivalent field."""
-        return self._render(_P_ADD)
+        return _print(self, -1)
 
-    def _render(self, min_prec: int) -> str:
-        text = self._text()
-        if self._prec < min_prec:
-            return f"({text})"
-        return text
-
-    def _text(self) -> str:
+    def _text(self, kids: tuple) -> str:
+        """This node's text, given its children's texts, each already in
+        parentheses where its precedence is below the slot's ``_kid_prec``."""
         raise NotImplementedError
 
     def _short_text(self, depth: int = 4, limit: int = 80) -> str:
         # depth-capped sketch: diagnostics only, cheap even for huge trees
-        text = _sketch(self, depth)
+        text = _print(self, depth)
         if len(text) > limit:
             return text[: limit - 3] + "..."
         return text
@@ -290,7 +292,7 @@ class Const(ScalarField):
     def _eval(self, kids, pt):
         return self.value
 
-    def _text(self):
+    def _text(self, kids):
         v = self.value
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
@@ -309,7 +311,7 @@ class Var(ScalarField):
     def _eval(self, kids, pt):
         return pt[self.index]
 
-    def _text(self):
+    def _text(self, kids):
         return _COORD_NAMES[self.index]
 
 
@@ -327,10 +329,15 @@ class _Binary(ScalarField):
     def b(self):
         return self._children[1]
 
+    def _text(self, kids):
+        return f"{kids[0]}{self._op}{kids[1]}"
+
 
 class Add(_Binary):
     __slots__ = ()
     _prec = _P_ADD
+    _op = " + "
+    _kid_prec = (_P_ADD, _P_MUL)
 
     def _diff(self, k):
         return _add(self.a.diff(k), self.b.diff(k))
@@ -338,13 +345,12 @@ class Add(_Binary):
     def _eval(self, kids, pt):
         return kids[0] + kids[1]
 
-    def _text(self):
-        return f"{self.a._render(_P_ADD)} + {self.b._render(_P_MUL)}"
-
 
 class Sub(_Binary):
     __slots__ = ()
     _prec = _P_ADD
+    _op = " - "
+    _kid_prec = (_P_ADD, _P_MUL)
 
     def _diff(self, k):
         return _sub(self.a.diff(k), self.b.diff(k))
@@ -352,13 +358,12 @@ class Sub(_Binary):
     def _eval(self, kids, pt):
         return kids[0] - kids[1]
 
-    def _text(self):
-        return f"{self.a._render(_P_ADD)} - {self.b._render(_P_MUL)}"
-
 
 class Mul(_Binary):
     __slots__ = ()
     _prec = _P_MUL
+    _op = "*"
+    _kid_prec = (_P_MUL, _P_POW)
 
     def _diff(self, k):
         return _add(_mul(self.a.diff(k), self.b), _mul(self.a, self.b.diff(k)))
@@ -366,13 +371,12 @@ class Mul(_Binary):
     def _eval(self, kids, pt):
         return kids[0] * kids[1]
 
-    def _text(self):
-        return f"{self.a._render(_P_MUL)}*{self.b._render(_P_POW)}"
-
 
 class Div(_Binary):
     __slots__ = ()
     _prec = _P_MUL
+    _op = "/"
+    _kid_prec = (_P_MUL, _P_POW)
 
     def _diff(self, k):
         da, db = self.a.diff(k), self.b.diff(k)
@@ -383,13 +387,11 @@ class Div(_Binary):
             raise DomainError("division by zero", pt, self._short_text())
         return kids[0] / kids[1]
 
-    def _text(self):
-        return f"{self.a._render(_P_MUL)}/{self.b._render(_P_POW)}"
-
 
 class Neg(ScalarField):
     __slots__ = ("_children",)
     _prec = _P_UNARY
+    _kid_prec = (_P_UNARY,)
 
     def __init__(self, a: ScalarField) -> None:
         object.__setattr__(self, "_children", (a,))
@@ -404,8 +406,8 @@ class Neg(ScalarField):
     def _eval(self, kids, pt):
         return -kids[0]
 
-    def _text(self):
-        return f"-{self.a._render(_P_UNARY)}"
+    def _text(self, kids):
+        return f"-{kids[0]}"
 
 
 class Pow(ScalarField):
@@ -413,6 +415,7 @@ class Pow(ScalarField):
 
     __slots__ = ("_children", "exponent")
     _prec = _P_POW
+    _kid_prec = (_P_ATOM,)
 
     def __init__(self, base: ScalarField, exponent: int) -> None:
         object.__setattr__(self, "_children", (base,))
@@ -434,13 +437,14 @@ class Pow(ScalarField):
         except OverflowError:
             raise DomainError("overflow", pt, self._short_text()) from None
 
-    def _text(self):
-        return f"{self.base._render(_P_ATOM)}^{self.exponent}"
+    def _text(self, kids):
+        return f"{kids[0]}^{self.exponent}"
 
 
 class Call(ScalarField):
     __slots__ = ("_children", "fn")
     _prec = _P_ATOM
+    _kid_prec = (_P_ADD,)
 
     def __init__(self, fn: str, arg: ScalarField) -> None:
         object.__setattr__(self, "_children", (arg,))
@@ -471,8 +475,8 @@ class Call(ScalarField):
             reason = "overflow"
         raise DomainError(reason, pt, self._short_text())
 
-    def _text(self):
-        return f"{self.fn}({self.arg.to_text()})"
+    def _text(self, kids):
+        return f"{self.fn}({kids[0]})"
 
 
 _ZERO = Const(0.0)
@@ -489,24 +493,42 @@ def _deriv_cache(node: ScalarField) -> dict:
         return cache
 
 
-def _sketch(node: ScalarField, depth: int) -> str:
-    if depth <= 0:
-        return "..."
-    if isinstance(node, (Const, Var)):
-        return node._text()
-    if isinstance(node, Add):
-        return f"({_sketch(node.a, depth - 1)} + {_sketch(node.b, depth - 1)})"
-    if isinstance(node, Sub):
-        return f"({_sketch(node.a, depth - 1)} - {_sketch(node.b, depth - 1)})"
-    if isinstance(node, Mul):
-        return f"({_sketch(node.a, depth - 1)}*{_sketch(node.b, depth - 1)})"
-    if isinstance(node, Div):
-        return f"({_sketch(node.a, depth - 1)}/{_sketch(node.b, depth - 1)})"
-    if isinstance(node, Neg):
-        return f"(-{_sketch(node.a, depth - 1)})"
-    if isinstance(node, Pow):
-        return f"{_sketch(node.base, depth - 1)}^{node.exponent}"
-    return f"{node.fn}({_sketch(node.arg, depth - 1)})"
+def _print(root: ScalarField, depth: int) -> str:
+    """Text of ``root``, subtrees below ``depth`` levels shown as ``...``;
+    a negative depth never reaches 0, so nothing is cut.
+
+    Walks the tree in post-order with an explicit stack, so deep expressions
+    need no recursion.  Only the texts of children waiting for their parent
+    are held; texts are not shared between repeated subtrees, whose
+    combined size can be far larger than the DAG.
+    """
+    texts: list[str] = []
+    stack = [(root, depth, False)]
+    while stack:
+        node, d, ready = stack.pop()
+        kids = node._children
+        if d == 0:
+            texts.append("...")
+        elif not kids:
+            texts.append(node._text(()))
+        elif ready:
+            # nodes have one or two children; the last one's text is on top
+            prec = node._kid_prec
+            b = texts.pop()
+            if kids[-1]._prec < prec[-1]:
+                b = f"({b})"
+            if len(kids) == 1:
+                texts.append(node._text((b,)))
+                continue
+            a = texts.pop()
+            if kids[0]._prec < prec[0]:
+                a = f"({a})"
+            texts.append(node._text((a, b)))
+        else:
+            stack.append((node, d, True))
+            for k in reversed(kids):
+                stack.append((k, d - 1, False))
+    return texts[0]
 
 
 # -- smart constructors: constant folding and neutral elements only ----------
@@ -694,6 +716,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -730,11 +753,18 @@ class _Parser:
         return node
 
     def unary(self) -> ScalarField:
+        # every recursion of the descent passes through here
         tok = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.fail("expression nested too deeply", tok)
         if tok.kind == "op" and tok.value == "-":
             self.advance()
-            return _neg(self.unary())
-        return self.power()
+            node = _neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> ScalarField:
         base = self.atom()
@@ -784,7 +814,8 @@ def parse(text: str) -> ScalarField:
     """Parse expression text into a :class:`ScalarField`.
 
     Raises :class:`ExpressionSyntaxError` (with a byte offset) on malformed
-    input and :class:`UnknownIdentifier` for names outside the grammar.
+    input or nesting deeper than 160 levels, and :class:`UnknownIdentifier`
+    for names outside the grammar.
     """
     if not isinstance(text, str):
         raise TypeError("expression text must be a str")

@@ -1,12 +1,14 @@
 """Command-line interface: formats, exit codes, diagnostics, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from cartan_contact import corpus
 from cartan_contact.cli import main
 
 
@@ -149,6 +151,19 @@ class TestAnalyze:
         assert record["status"] == "ok"
         assert record["det3"] == 1 - 125250 * 0.5
 
+    @pytest.mark.parametrize("x2z", [
+        "(" * 1000 + "x" + ")" * 1000,
+        "sqrt(" * 1000 + "x" + ")" * 1000,
+        "-" * 1000 + "x",
+    ], ids=["parentheses", "sqrt", "minus"])
+    def test_deep_nesting_diagnostic(self, capsys, tmp_path, x2z):
+        spec = write_spec(tmp_path, name="deep", x2=("0", "1", x2z))
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "fields.X2[2]" in err and "nested too deeply" in err
+
     def test_tol_identity_flag_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "heisenberg",
                                "--points", "[[1,0,0.3]]", "--tol-identity", "1e-15",
@@ -257,6 +272,40 @@ class TestCorpus:
     def test_loose_regression_tolerance_accepted(self, capsys):
         code, _, _ = run_cli(capsys, "corpus", "--tol-regression", "1e-3")
         assert code == 0
+
+    @staticmethod
+    def patch_builtin(monkeypatch, name, **changes):
+        builtin = dataclasses.replace(corpus.BUILTINS[name], **changes)
+        monkeypatch.setitem(corpus.BUILTINS, name, builtin)
+
+    def test_closed_form_mismatch_fails(self, capsys, monkeypatch):
+        m_cartan = corpus.BUILTINS["cartan"].m_closed
+        self.patch_builtin(monkeypatch, "cartan",
+                           m_closed=lambda x, y, z: 2 * m_cartan(x, y, z))
+        code, out, _ = run_cli(capsys, "corpus")
+        assert code == 1
+        lines = out.splitlines()
+        # the first ok grid point is (-1, -1, 0.3), where M = 1/64
+        assert lines[-2:] == ["failure\tcartan\t-1,-1,0.3\texpected\t0.03125\tgot\t0.015625",
+                              "result\tfail"]
+        assert "row\tcartan\tcontact\t1\t0.015625\t0.25\tfail" in lines
+        code, out, _ = run_cli(capsys, "corpus", "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["result"] == "fail"
+        assert doc["failure"] == {"name": "cartan", "point": [-1.0, -1.0, 0.3],
+                                  "expected": 0.03125, "got": 0.015625}
+
+    def test_kind_mismatch_fails_without_point(self, capsys, monkeypatch):
+        self.patch_builtin(monkeypatch, "exercise1a", expected_kind="contact")
+        code, out, _ = run_cli(capsys, "corpus")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-2:] == ["failure\texercise1a\t-\texpected\tcontact\tgot\tholonomic",
+                              "result\tfail"]
+        code, out, _ = run_cli(capsys, "corpus", "--format", "json")
+        assert json.loads(out)["failure"] == {"name": "exercise1a", "point": None,
+                                              "expected": "contact", "got": "holonomic"}
 
 
 class TestEntryPoint:

@@ -110,6 +110,20 @@ class TestParse:
             parse("α + 1")
         assert err.value.offset == 0
 
+    @pytest.mark.parametrize("text, offset", [
+        ("(" * 1000 + "x" + ")" * 1000, 160),
+        ("sqrt(" * 1000 + "x" + ")" * 1000, 800),
+        ("-" * 1000 + "x", 160),
+    ])
+    def test_deep_nesting_rejected(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply") as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_150_levels_parse(self):
+        assert parse("(" * 150 + "x" + ")" * 150).to_text() == "x"
+        assert parse("sqrt(" * 150 + "x" + ")" * 150).evaluate((1.0, 0.0, 0.0)) == 1.0
+
 
 class TestEvaluate:
     def test_unit_normaliser(self):
@@ -268,6 +282,15 @@ class TestPrinting:
             g = parse(f.to_text())
             for p in rand_points(rng, 5):
                 assert f.evaluate(p) == g.evaluate(p)
+
+    def test_long_sum_round_trip(self):
+        # printing, like parsing and differentiation, walks the 2000 Add
+        # nodes without recursion
+        text = " + ".join(f"x*y*{i}" for i in range(1, 2001))
+        f = parse(text)
+        assert f.to_text() == "x*y" + text[len("x*y*1"):] == str(f)  # x*y*1 folds
+        assert parse(f.to_text()).evaluate((0.5, 0.25, 0.0)) == f.evaluate((0.5, 0.25, 0.0))
+        assert repr(f) == "ScalarField('... + ... + ...*... + ...*...*1999 + x*y*2000')"
 
     def test_canonical_names(self):
         assert parse("x1+x2+x3").to_text() == "x + y + z"
