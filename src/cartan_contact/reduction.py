@@ -321,6 +321,7 @@ def build_adapted(D: Distribution, points) -> AdaptedCoframe:
     per-point policy instead).  Raises :class:`HolonomicError` when the
     frame degenerates at a verification point.
     """
+    points = tuple(points)  # read twice: a one-shot iterator would verify once
     e1, e2 = gram_schmidt(D.X1, D.X2, check_points=points)
     return adapted_from_orthonormal(e1, e2, points)
 

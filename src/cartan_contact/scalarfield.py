@@ -12,6 +12,11 @@ neutral-element elimination (``u+0``, ``u*1``, ``u*0``); correctness is
 defined by numeric evaluation, never by canonical form.  Construction shares
 subtrees and derivatives are cached per node, so repeated differentiation of
 derived quantities stays cheap.
+
+Differentiation, evaluation and printing walk the expression with explicit
+stacks, so long sums need no recursion.  Only the parser recurses, and it
+rejects text nested deeper than 160 levels with
+:class:`ExpressionSyntaxError`.
 """
 from __future__ import annotations
 

@@ -158,6 +158,11 @@ class TestBuildAdapted:
         with pytest.raises(HolonomicError):
             build_adapted(exercise1a, default_grid_points())
 
+    def test_points_iterator_verifies_frame(self, exercise1a):
+        # the Gram-Schmidt pair is fine; only the frame check rejects
+        with pytest.raises(HolonomicError, match="frame degenerates"):
+            build_adapted(exercise1a, iter(default_grid_points()))
+
     def test_duality_after_build(self, cartan, rng):
         A = build_adapted(cartan, points=())
         pairing = pairing_matrix(A.coframe, A.frame)
