@@ -122,7 +122,12 @@ def _points_from_grid(grid) -> list[Point]:
             raise CliError(f"sampling.grid.{axis}: count must be an integer >= 1")
         if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and lo <= hi):
             raise CliError(f"sampling.grid.{axis}: needs lo <= hi")
-        axes[axis] = grid_axis(float(lo), float(hi), n)
+        lo, hi = _finite(lo), _finite(hi)
+        if lo is None or hi is None:
+            raise CliError(f"sampling.grid.{axis}: endpoints must be finite")
+        axes[axis] = grid_axis(lo, hi, n)
+        if not all(map(math.isfinite, axes[axis])):
+            raise CliError(f"sampling.grid.{axis}: grid points overflow")
     return [Point(x, y, z) for x in axes["x"] for y in axes["y"] for z in axes["z"]]
 
 
@@ -135,7 +140,7 @@ def _points_from_list(items) -> list[Point]:
             raise CliError(f"sampling.points[{i}] must be an [x, y, z] triple")
         try:
             pts.append(Point(*(float(c) for c in item)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"sampling.points[{i}]: {exc}") from exc
     return pts
 
@@ -160,10 +165,7 @@ def load_spec(path_or_name: str, args) -> InputSpec:
         path = Path(path_or_name)
         if not path.exists():
             raise CliError(f"input file not found: {path_or_name}")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path_or_name}: malformed JSON ({exc})") from exc
+        raw = _load_json(path.read_text(), path_or_name)
         if not isinstance(raw, dict):
             raise CliError(f"{path_or_name}: top level must be an object")
         if raw.get("schema") != SCHEMA:
@@ -177,26 +179,26 @@ def load_spec(path_or_name: str, args) -> InputSpec:
                 or not all(isinstance(e, str) for e in exprs):
             raise CliError(f"fields.{key}: expected a list of exactly 3 expression strings")
 
-    tol = raw.get("tol") or {}
-    if not isinstance(tol, dict):
+    tol = raw.get("tol")
+    if tol is None:
+        tol = {}
+    elif not isinstance(tol, dict):
         raise CliError("tol must be an object")
-    tol_identity = _tol_value(tol, "identity", IDENTITY_TOL)
-    tol_regression = _tol_value(tol, "regression", REGRESSION_TOL)
+    tols = {}
     from_file = []
-    if getattr(args, "tol_identity", None) is not None:
-        tol_identity = args.tol_identity
-    elif "identity" in tol:
-        from_file.append("tol.identity")
-    if getattr(args, "tol_regression", None) is not None:
-        tol_regression = args.tol_regression
-    elif "regression" in tol:
-        from_file.append("tol.regression")
+    for key, default in (("identity", IDENTITY_TOL), ("regression", REGRESSION_TOL)):
+        tols[key] = _tol_value(tol.get(key, default), f"tol.{key}")
+        flag = _flag_tol(args, f"tol_{key}", None)
+        if flag is not None:
+            tols[key] = flag
+        elif key in tol:
+            from_file.append(f"tol.{key}")
 
     sampling = raw.get("sampling")
     if getattr(args, "points", None) is not None:
-        sampling = {"points": _load_json_flag(args.points, "--points")}
+        sampling = {"points": _load_json(args.points, "--points")}
     elif getattr(args, "grid", None) is not None:
-        sampling = {"grid": _load_json_flag(args.grid, "--grid")}
+        sampling = {"grid": _load_json(args.grid, "--grid")}
     elif sampling is not None:
         from_file.append("sampling")
     points = _points_from_sampling(sampling)
@@ -206,28 +208,43 @@ def load_spec(path_or_name: str, args) -> InputSpec:
         x1=tuple(fields["X1"]),
         x2=tuple(fields["X2"]),
         points=points,
-        tol_identity=tol_identity,
-        tol_regression=tol_regression,
+        tol_identity=tols["identity"],
+        tol_regression=tols["regression"],
         from_file=tuple(from_file),
     )
 
 
-def _tol_value(tol: dict, key: str, default: float) -> float:
-    value = tol.get(key, default)
+def _finite(value) -> float | None:
+    """``value`` as a finite float, or None; booleans are not numbers here."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):
-        raise CliError(f"tol.{key} must be a finite number, got {value!r}")
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if isinstance(value, bool) or not math.isfinite(number) else number
+
+
+def _tol_value(value, name: str) -> float:
+    number = _finite(value)
+    if number is None:
+        raise CliError(f"{name} must be a finite number, got {value!r}")
     return number
 
 
-def _load_json_flag(text: str, flag: str):
+def _flag_tol(args, dest: str, default):
+    """The tolerance flag ``dest`` checked like one from a file, or ``default``."""
+    value = getattr(args, dest, None)
+    if value is None:
+        return default
+    return _tol_value(value, "--" + dest.replace("_", "-"))
+
+
+def _load_json(text: str, where: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{flag}: malformed JSON ({exc})") from exc
+        raise CliError(f"{where}: malformed JSON ({exc})") from exc
+    except RecursionError:
+        raise CliError(f"{where}: JSON nests too deep to read") from None
 
 
 def build_distribution(spec: InputSpec) -> Distribution:
@@ -416,8 +433,8 @@ def cmd_corpus(args) -> int:
         for name in corpus_mod.names():
             print(name)
         return 0
-    tol_regression = args.tol_regression if args.tol_regression is not None else REGRESSION_TOL
-    tol_identity = args.tol_identity if args.tol_identity is not None else IDENTITY_TOL
+    tol_regression = _flag_tol(args, "tol_regression", REGRESSION_TOL)
+    tol_identity = _flag_tol(args, "tol_identity", IDENTITY_TOL)
     results = [_corpus_row(name, tol_identity, tol_regression) for name in corpus_mod.names()]
     failures = [f for _, f in results if f is not None]
     doc = {"schema": SCHEMA, "rows": [row for row, _ in results],

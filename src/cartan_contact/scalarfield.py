@@ -13,14 +13,13 @@ defined by numeric evaluation, never by canonical form.  Construction shares
 subtrees and derivatives are cached per node, so repeated differentiation of
 derived quantities stays cheap.
 
-Differentiation, evaluation and printing walk the expression with explicit
-stacks, so long sums need no recursion.  Only the parser recurses, and it
-rejects text nested deeper than 160 levels with
-:class:`ExpressionSyntaxError`.
+Parsing, differentiation, evaluation and printing all work with explicit
+stacks, so neither long sums nor deep nesting need recursion.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -45,11 +44,6 @@ _FUNCTIONS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.e
 
 # printing precedence levels
 _P_ADD, _P_MUL, _P_UNARY, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
-
-# deepest nesting the parser accepts.  Each parenthesised group, function
-# call, unary minus and exponent adds a level; a level of parentheses takes
-# five Python frames, so 160 levels stay well inside the default limit of 1000
-_MAX_DEPTH = 160
 
 
 class ExpressionSyntaxError(ValueError):
@@ -299,7 +293,7 @@ class Const(ScalarField):
 
     def _text(self, kids):
         v = self.value
-        if v == int(v) and abs(v) < 1e16:
+        if abs(v) < 1e16 and v == int(v):  # false for inf and nan
             return str(int(v))
         return repr(v)
 
@@ -538,8 +532,22 @@ def _print(root: ScalarField, depth: int) -> str:
 
 # -- smart constructors: constant folding and neutral elements only ----------
 
-def _is_const(f, v=None):
-    return isinstance(f, Const) and (v is None or f.value == v)
+def _is_const(f, v):
+    return isinstance(f, Const) and f.value == v
+
+
+def _fold(op, node, *kids):
+    """``node(*kids)``, or the Const of ``op`` on the kids' values when every
+    kid is a Const and that value is a finite float.  Where ``op`` raises or
+    overflows, the node is kept and evaluation reports the domain error."""
+    for k in kids:
+        if not isinstance(k, Const):
+            return node(*kids)
+    try:
+        value = op(*(k.value for k in kids))
+    except (ArithmeticError, ValueError):
+        return node(*kids)
+    return Const(value) if math.isfinite(value) else node(*kids)
 
 
 def _add(a, b):
@@ -548,9 +556,7 @@ def _add(a, b):
         return a
     if _is_const(a, 0.0):
         return b
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    return Add(a, b)
+    return _fold(operator.add, Add, a, b)
 
 
 def _sub(a, b):
@@ -558,9 +564,7 @@ def _sub(a, b):
         return a
     if _is_const(a, 0.0):
         return _neg(b)
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    return Sub(a, b)
+    return _fold(operator.sub, Sub, a, b)
 
 
 def _mul(a, b):
@@ -570,9 +574,7 @@ def _mul(a, b):
         return b
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return _ZERO
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    return Mul(a, b)
+    return _fold(operator.mul, Mul, a, b)
 
 
 def _div(a, b):
@@ -580,17 +582,13 @@ def _div(a, b):
         return a
     if _is_const(a, 0.0):
         return _ZERO
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return Const(a.value / b.value)
-    return Div(a, b)
+    return _fold(operator.truediv, Div, a, b)
 
 
 def _neg(a):
-    if _is_const(a):
-        return Const(-a.value)
     if isinstance(a, Neg):
         return a.a
-    return Neg(a)
+    return _fold(operator.neg, Neg, a)
 
 
 def _pow(base, n: int):
@@ -598,21 +596,11 @@ def _pow(base, n: int):
         return _ONE
     if n == 1:
         return base
-    if _is_const(base) and not (base.value == 0.0 and n < 0):
-        try:
-            return Const(base.value ** n)
-        except OverflowError:
-            pass  # keep the node; evaluation reports the domain error
-    return Pow(base, n)
+    return _fold(lambda v: v ** n, lambda b: Pow(b, n), base)
 
 
 def _call(fn, arg):
-    if _is_const(arg):
-        try:
-            return Const(_FUNCTIONS[fn](arg.value))
-        except (ValueError, OverflowError):
-            pass  # keep the node; evaluation reports the domain error
-    return Call(fn, arg)
+    return _fold(_FUNCTIONS[fn], lambda u: Call(fn, u), arg)
 
 
 def _coerce(v) -> "ScalarField | None":
@@ -714,119 +702,101 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent with precedence ^ > unary minus > * / > + -."""
+# binding powers of pending operators; open groups and calls have 0
+_BINARY = {"+": (1, _add), "-": (1, _sub), "*": (2, _mul), "/": (2, _div)}
+_NEG, _POW = 3, 4
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+def _parse_tokens(text: str, tokens: list[_Token]) -> ScalarField:
+    """Precedence ^ > unary minus > * / > + -, in one loop over ``tokens``.
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    ``vals`` holds finished operands and ``ops`` pending operators as
+    (binding power, detail) pairs; the detail is a binary operator's
+    constructor, a power's exponent token, or a call's function name.  Each
+    operator after an operand first applies the pending ones that bind at
+    least as tightly, so ``^`` and unary minus apply as soon as their operand
+    ends, and the exponent is checked there.  Nesting costs no recursion.
+    """
+    def fail(message, tok):
+        raise ExpressionSyntaxError(message, _byte_offset(text, tok.pos))
 
-    def fail(self, message: str, tok: _Token):
-        raise ExpressionSyntaxError(message, _byte_offset(self.text, tok.pos))
-
-    def parse(self) -> ScalarField:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected trailing input {tok.value!r}", tok)
-        return node
-
-    def expr(self) -> ScalarField:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            op = self.advance().value
-            rhs = self.term()
-            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
-        return node
-
-    def term(self) -> ScalarField:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().value in "*/":
-            op = self.advance().value
-            rhs = self.unary()
-            node = _mul(node, rhs) if op == "*" else _div(node, rhs)
-        return node
-
-    def unary(self) -> ScalarField:
-        # every recursion of the descent passes through here
-        tok = self.peek()
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            self.fail("expression nested too deeply", tok)
-        if tok.kind == "op" and tok.value == "-":
-            self.advance()
-            node = _neg(self.unary())
-        else:
-            node = self.power()
-        self.depth -= 1
-        return node
-
-    def power(self) -> ScalarField:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
-            self.advance()
-            # the exponent re-enters at unary level, so -2 and chained
-            # right-associative powers of literals are accepted; anything
-            # that does not fold to an integer constant is rejected
-            exp_tok = self.peek()
-            rhs = self.unary()
-            if not isinstance(rhs, Const) or rhs.value != int(rhs.value):
-                self.fail("exponent must be an integer literal", exp_tok)
-            return _pow(base, int(rhs.value))
-        return base
-
-    def atom(self) -> ScalarField:
-        tok = self.advance()
+    ops: list[tuple] = []
+    vals: list[ScalarField] = []
+    i = 0
+    while True:
+        # an operand, after any unary minuses, opening parentheses and calls
+        tok = tokens[i]
+        i += 1
         if tok.kind == "num":
-            return Const(tok.value)
-        if tok.kind == "op" and tok.value == "(":
-            node = self.expr()
-            closing = self.advance()
-            if closing.kind != "op" or closing.value != ")":
-                self.fail("expected ')'", closing)
-            return node
-        if tok.kind == "ident":
+            vals.append(Const(tok.value))
+        elif tok.kind == "ident":
             name = tok.value
             if name in _COORD_INDEX:
-                return Var(_COORD_INDEX[name])
-            if name in _FUNCTIONS:
-                opening = self.advance()
-                if opening.kind != "op" or opening.value != "(":
-                    self.fail(f"expected '(' after {name!r}", opening)
-                arg = self.expr()
-                closing = self.advance()
-                if closing.kind != "op" or closing.value != ")":
-                    self.fail("expected ')'", closing)
-                return _call(name, arg)
-            raise UnknownIdentifier(name, _byte_offset(self.text, tok.pos))
-        if tok.kind == "end":
-            self.fail("unexpected end of input", tok)
-        self.fail(f"unexpected token {tok.value!r}", tok)
+                vals.append(Var(_COORD_INDEX[name]))
+            elif name not in _FUNCTIONS:
+                raise UnknownIdentifier(name, _byte_offset(text, tok.pos))
+            elif tokens[i].value != "(":
+                fail(f"expected '(' after {name!r}", tokens[i])
+            else:
+                ops.append((0, name))
+                i += 1
+                continue
+        elif tok.value in ("-", "("):
+            ops.append((_NEG, None) if tok.value == "-" else (0, None))
+            continue
+        elif tok.kind == "end":
+            fail("unexpected end of input", tok)
+        else:
+            fail(f"unexpected token {tok.value!r}", tok)
+        # then the operators after it, closing the groups that end there
+        while True:
+            tok = tokens[i]
+            if tok.value == "^":
+                # binds tightest and to the right: nothing pending applies yet
+                i += 1
+                ops.append((_POW, tokens[i]))
+                break
+            binary = _BINARY.get(tok.value)
+            floor = binary[0] if binary else 1
+            while ops and ops[-1][0] >= floor:
+                power, detail = ops.pop()
+                if power == _POW:
+                    n = vals.pop()
+                    if not isinstance(n, Const) or n.value != int(n.value):
+                        fail("exponent must be an integer literal", detail)
+                    vals[-1] = _pow(vals[-1], int(n.value))
+                elif power == _NEG:
+                    vals[-1] = _neg(vals[-1])
+                else:
+                    b = vals.pop()
+                    vals[-1] = detail(vals[-1], b)
+            if binary:
+                ops.append(binary)
+                i += 1
+                break
+            if not ops:
+                if tok.kind != "end":
+                    fail(f"unexpected trailing input {tok.value!r}", tok)
+                return vals[0]
+            if tok.value != ")":
+                fail("expected ')'", tok)
+            i += 1
+            name = ops.pop()[1]
+            if name is not None:
+                vals[-1] = _call(name, vals[-1])
 
 
 def parse(text: str) -> ScalarField:
     """Parse expression text into a :class:`ScalarField`.
 
     Raises :class:`ExpressionSyntaxError` (with a byte offset) on malformed
-    input or nesting deeper than 160 levels, and :class:`UnknownIdentifier`
-    for names outside the grammar.
+    input, and :class:`UnknownIdentifier` for names outside the grammar.
     """
     if not isinstance(text, str):
         raise TypeError("expression text must be a str")
     if text.strip() == "":
         raise ExpressionSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    return _parse_tokens(text, _tokenize(text))
 
 
 def evaluate(f: ScalarField, point) -> float:

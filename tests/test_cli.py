@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -16,6 +17,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def diagnostic(capsys, *argv) -> str:
+    """Run the CLI and check it failed with a one-line diagnostic; returns it."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1), err
+    assert err.startswith("error: ")
+    return err
 
 
 def write_spec(tmp_path, name="custom", x1=("1", "0", "-y"), x2=("0", "1", "x"),
@@ -153,16 +162,64 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("x2z", [
         "(" * 1000 + "x" + ")" * 1000,
-        "sqrt(" * 1000 + "x" + ")" * 1000,
         "-" * 1000 + "x",
-    ], ids=["parentheses", "sqrt", "minus"])
-    def test_deep_nesting_diagnostic(self, capsys, tmp_path, x2z):
-        spec = write_spec(tmp_path, name="deep", x2=("0", "1", x2z))
-        code, out, err = run_cli(capsys, "analyze", spec)
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1
-        assert "fields.X2[2]" in err and "nested too deeply" in err
+    ], ids=["parentheses", "minus"])
+    def test_deep_nesting_analyzes(self, capsys, tmp_path, x2z):
+        deep = write_spec(tmp_path, name="same", x2=("0", "1", x2z))
+        code, out, _ = run_cli(capsys, "analyze", deep, "--format", "json")
+        assert code == 0
+        plain = write_spec(tmp_path, name="same", x2=("0", "1", "x"))
+        assert run_cli(capsys, "analyze", plain, "--format", "json") == (0, out, "")
+
+    def test_deep_sqrt_chain_analyzes(self, capsys, tmp_path):
+        # sqrt^1000(x) is undefined for x < 0 and its derivative at x = 0
+        spec = write_spec(tmp_path, name="deep", x2=("0", "1", "sqrt(" * 1000 + "x" + ")" * 1000))
+        code, out, _ = run_cli(capsys, "analyze", spec, "--format", "json")
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert len(records) == 25
+        assert all((r["status"] == "ok") == (r["point"][0] > 0) for r in records)
+
+    def test_overflowing_constant_diagnostic(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, name="ovf", x1=("1", "0", "1e308*10 - y"))
+        assert "undefined at every sampled point" in diagnostic(capsys, "analyze", spec)
+
+    def test_grid_non_finite_endpoint(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, name="inf",
+                          sampling={"grid": {"x": [-math.inf, 1, 3], "y": [0, 0, 1],
+                                             "z": [0, 0, 1]}})
+        assert "sampling.grid.x: endpoints must be finite" in diagnostic(capsys, "analyze", spec)
+
+    def test_grid_overflow_flag(self, capsys):
+        grid = '{"x":[-1e308,1e308,3],"y":[0,0,1],"z":[0,0,1]}'
+        err = diagnostic(capsys, "analyze", "heisenberg", "--grid", grid)
+        assert "sampling.grid.x: grid points overflow" in err
+
+    def test_points_int_too_large(self, capsys):
+        err = diagnostic(capsys, "analyze", "heisenberg", "--points", f"[[{'9' * 400}, 0, 0]]")
+        assert "sampling.points[0]: int too large" in err
+
+    def test_deeply_nested_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert "JSON nests too deep" in diagnostic(capsys, "analyze", str(path))
+
+    def test_deeply_nested_points_flag(self, capsys):
+        err = diagnostic(capsys, "analyze", "heisenberg", "--points", "[" * 3000)
+        assert "--points: JSON nests too deep" in err
+
+    @pytest.mark.parametrize("tol", [0, False, "", []],
+                             ids=["zero", "false", "empty-string", "empty-list"])
+    def test_falsy_tol_diagnostic(self, capsys, tmp_path, tol):
+        spec = write_spec(tmp_path, name="falsy", tol=tol)
+        assert "tol must be an object" in diagnostic(capsys, "analyze", spec)
+
+    def test_null_tol_keeps_defaults(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, name="same")
+        path = tmp_path / "same.json"
+        path.write_text(path.read_text()[:-1] + ', "tol": null}')
+        _, plain, _ = run_cli(capsys, "analyze", spec)
+        assert run_cli(capsys, "analyze", str(path)) == (0, plain, "")
 
     def test_tol_identity_flag_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "heisenberg",
@@ -316,3 +373,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "heisenberg" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "heisenberg", "--tol-identity", "nan"),
+        ("compare", "heisenberg", "cartan", "--tol-identity", "inf"),
+        ("compare", "heisenberg", "cartan", "--tol-regression", "inf"),
+        ("corpus", "--tol-identity", "inf"),
+        ("corpus", "--tol-regression", "nan"),
+    ], ids=["analyze-identity", "compare-identity", "compare-regression",
+            "corpus-identity", "corpus-regression"])
+    def test_non_finite_tol_flag_diagnostic(self, capsys, argv):
+        flag, value = argv[-2:]
+        err = diagnostic(capsys, *argv)
+        assert f"{flag} must be a finite number, got {float(value)!r}" in err

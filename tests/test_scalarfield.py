@@ -110,15 +110,54 @@ class TestParse:
             parse("α + 1")
         assert err.value.offset == 0
 
-    @pytest.mark.parametrize("text, offset", [
-        ("(" * 1000 + "x" + ")" * 1000, 160),
-        ("sqrt(" * 1000 + "x" + ")" * 1000, 800),
-        ("-" * 1000 + "x", 160),
+    @pytest.mark.parametrize("text, printed", [
+        ("(" * 1000 + "x" + ")" * 1000, "x"),
+        ("sqrt(" * 1000 + "x" + ")" * 1000, "sqrt(" * 1000 + "x" + ")" * 1000),
+        ("-" * 1000 + "x", "x"),  # an even chain of minuses folds away
+    ], ids=["parentheses", "sqrt", "minus"])
+    def test_deep_nesting_parses(self, text, printed):
+        f = parse(text)
+        assert f.to_text() == printed
+        assert f.evaluate((1.0, 0.0, 0.0)) == 1.0
+
+    def test_100k_levels_without_recursion(self):
+        assert parse("(" * 100_000 + "x" + ")" * 100_000).to_text() == "x"
+        f = parse("sqrt(" * 100_000 + "x" + ")" * 100_000)
+        assert f.evaluate((1.0, 0.0, 0.0)) == 1.0
+        # each level halves the derivative at x = 1: 2^-100000 underflows
+        assert f.diff("x").evaluate((1.0, 0.0, 0.0)) == 0.0
+        assert parse("sqrt(" * 1000 + "x" + ")" * 1000).diff("x").evaluate(
+            (1.0, 0.0, 0.0)) == 2.0 ** -1000
+
+    @pytest.mark.parametrize("text", [
+        "1e308 + 1e308", "1e308*10 - y", "1e308*10 - 1e308*10", "-1e308 - 1e308",
+        "1e308/1e-308", "-(1e308*10)", "sqrt(1e308*10)",
     ])
-    def test_deep_nesting_rejected(self, text, offset):
-        with pytest.raises(ExpressionSyntaxError, match="nested too deeply") as err:
+    def test_folding_stays_finite(self, text):
+        # a fold that would leave the finite floats keeps its node instead
+        f = parse(text)
+        assert parse(f.to_text()).to_text() == f.to_text()
+        with pytest.raises(DomainError):
+            f.evaluate(ORIGIN)
+
+    def test_non_finite_constant_reported(self):
+        with pytest.raises(DomainError, match="inf"):
+            (parse("x") + math.inf).evaluate(ORIGIN)
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("x^y + 1", "exponent must be an integer literal", 2),
+        ("2*(x^-y", "exponent must be an integer literal", 5),
+        ("(x y", "expected ')'", 3),
+        ("sqrt(x", "expected ')'", 6),
+        ("sqrt x", "expected '(' after 'sqrt'", 5),
+        ("(x))", "unexpected trailing input ')'", 3),
+        ("x * )", "unexpected token ')'", 4),
+        ("-(", "unexpected end of input", 2),
+    ])
+    def test_error_messages_and_offsets(self, text, message, offset):
+        with pytest.raises(ExpressionSyntaxError) as err:
             parse(text)
-        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (byte {offset})"
 
     def test_150_levels_parse(self):
         assert parse("(" * 150 + "x" + ")" * 150).to_text() == "x"
