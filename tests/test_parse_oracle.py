@@ -76,7 +76,7 @@ def texts(draw):
 coordinates = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(texts(), st.tuples(coordinates, coordinates, coordinates))
 def test_parse_matches_python(text, point):
     x, y, z = point
