@@ -20,10 +20,10 @@ JSON input file with top-level schema tag ``cartan-contact/1``::
 ``sampling`` may instead hold explicit ``points`` ([[x, y, z], ...]); when
 omitted the default grid x, y in {-1, -0.5, 0, 0.5, 1}, z = 0.3 is used.
 Grids expand row-major in (x, y, z), n evenly spaced values per axis
-inclusive of endpoints.
+inclusive of endpoints, to at most 10^6 points in all.
 
-Exit codes: 0 success, 1 input or regression errors, 2 holonomic (or
-mixed-type) classification.  Machine output is deterministic: fixed field
+Exit codes: 0 success, 1 input or regression errors (a malformed command
+line included), 2 holonomic (or mixed-type) classification.  Machine output is deterministic: fixed field
 order, floats at 12 significant digits.
 """
 from __future__ import annotations
@@ -59,6 +59,10 @@ _RECORD_COLUMNS = ("point_x", "point_y", "point_z", "status", "det3", "T312",
                    "a1", "a2", "M", "dd_eta3", "q1_minus_p2")
 _SIDE_COLUMNS = ("classification", "n_ok", "n_singular", "M_min", "M_max")
 _CORPUS_COLUMNS = ("name", "classification", "T312_abs", "M_min", "M_max", "regression")
+# most points a grid may expand to, checked before any is built: a million
+# records is far beyond any report a reader uses, and far below what
+# exhausts memory
+_MAX_GRID_POINTS = 10 ** 6
 # statuses a point classified without a reduction reports
 _CLASSIFIED_STATUS = {"holonomic": "holonomic-at-point", "contact": "singular",
                       "undefined": "singular"}
@@ -112,7 +116,8 @@ def _table(*rows) -> str:
 def _points_from_grid(grid) -> list[Point]:
     if not isinstance(grid, dict) or set(grid) != {"x", "y", "z"}:
         raise CliError("sampling.grid must be an object with axes x, y, z")
-    axes = {}
+    bounds = {}
+    total = 1
     for axis in ("x", "y", "z"):
         spec = grid[axis]
         if not isinstance(spec, (list, tuple)) or len(spec) != 3:
@@ -125,6 +130,13 @@ def _points_from_grid(grid) -> list[Point]:
         lo, hi = _finite(lo), _finite(hi)
         if lo is None or hi is None:
             raise CliError(f"sampling.grid.{axis}: endpoints must be finite")
+        bounds[axis] = (lo, hi, n)
+        total *= n
+    if total > _MAX_GRID_POINTS:
+        raise CliError(f"sampling.grid: {total} points, more than the "
+                       f"{_MAX_GRID_POINTS} a grid may have")
+    axes = {}
+    for axis, (lo, hi, n) in bounds.items():
         axes[axis] = grid_axis(lo, hi, n)
         if not all(map(math.isfinite, axes[axis])):
             raise CliError(f"sampling.grid.{axis}: grid points overflow")
@@ -465,8 +477,17 @@ def _add_common(p: argparse.ArgumentParser, points_grid: bool, regression: bool)
                            help='sample grid, e.g. \'{"x":[-1,1,5],"y":[-1,1,5],"z":[0.3,0.3,1]}\'')
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a :class:`CliError`, so it exits 1
+    with one line like any other input problem; exit code 2 means a holonomic
+    or mixed classification.  ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cartan-contact",
         description="Classify contact plane fields on R^3 and compute their "
                     "differential invariant M.",
@@ -493,9 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

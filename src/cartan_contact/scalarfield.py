@@ -9,12 +9,17 @@ and evaluated in 64-bit floating point.
 
 Simplification is deliberately limited to constant folding and
 neutral-element elimination (``u+0``, ``u*1``, ``u*0``); correctness is
-defined by numeric evaluation, never by canonical form.  Construction shares
-subtrees and derivatives are cached per node, so repeated differentiation of
-derived quantities stays cheap.
+defined by numeric evaluation, never by canonical form.  Constants are
+finite: a non-finite Python number is refused with ``ValueError``.
+Construction shares subtrees and derivatives are cached per node, so
+repeated differentiation of derived quantities stays cheap.
 
-Parsing, differentiation, evaluation and printing all work with explicit
-stacks, so neither long sums nor deep nesting need recursion.
+Differentiation and evaluation are each one post-order walk over the shared
+nodes: a node's ``_diff`` receives its children's derivatives and its
+``_eval`` their values, so each distinct node costs a few dictionary
+operations and one method call.  Parsing, differentiation, evaluation and
+printing all work with explicit stacks, so neither long sums nor deep
+nesting need recursion.
 """
 from __future__ import annotations
 
@@ -186,28 +191,50 @@ class ScalarField:
     def diff(self, var) -> "ScalarField":
         """Exact symbolic partial derivative with respect to x, y or z.
 
-        Derivatives are cached per node.  The nodes whose derivative is not
-        cached yet are differentiated in post-order by an explicit stack, so
-        each ``_diff`` finds its children's derivatives cached and deep
-        expressions (long sums, say) need no recursion.
+        Derivatives are cached per node.  One post-order walk with an explicit
+        stack differentiates the nodes whose derivative is not cached yet:
+        each node's ``_diff`` receives its children's derivatives, read from
+        their caches, so deep expressions (long sums, say) need no recursion
+        and no node is differentiated twice.
         """
         k = _coord_key(var)
         stack = [self]
+        push, pop = stack.append, stack.pop
         while stack:
-            node = stack[-1]
-            cache = _deriv_cache(node)
+            node = pop()
+            cache = node._derivs
             if k in cache:
-                stack.pop()
                 continue
-            missing = [c for c in node._children if k not in _deriv_cache(c)]
-            if missing:
-                stack.extend(missing)
-                continue
-            cache[k] = node._diff(k)
-            stack.pop()
+            kids = node._children
+            if not kids:
+                dk = ()
+            elif len(kids) == 2:
+                a, b = kids
+                da = a._derivs.get(k)
+                db = b._derivs.get(k)
+                if da is None or db is None:
+                    push(node)
+                    if da is None:
+                        push(a)
+                    if db is None:
+                        push(b)
+                    continue
+                dk = (da, db)
+            else:
+                da = kids[0]._derivs.get(k)
+                if da is None:
+                    push(node)
+                    push(kids[0])
+                    continue
+                dk = (da,)
+            if cache is _NO_DERIVS:
+                cache = node._derivs = {}
+            cache[k] = node._diff(k, dk)
         return self._derivs[k]
 
-    def _diff(self, k: int) -> "ScalarField":
+    def _diff(self, k: int, dk: tuple) -> "ScalarField":
+        """This node's derivative along axis ``k``, given ``dk``, the
+        derivatives of its children along the same axis."""
         raise NotImplementedError
 
     # -- evaluation ---------------------------------------------------------
@@ -218,33 +245,54 @@ class ScalarField:
     def evaluate(self, point, memo: dict | None = None) -> float:
         """Value at ``point``; raises :class:`DomainError` where undefined.
 
-        Iterative with memoisation over shared subtrees, so large derived
-        expressions evaluate in time linear in distinct nodes.  ``memo`` lets
-        several calls at the same point share that memoisation: pass one
-        empty dict to the evaluations of all fields wanted at a point, and a
-        subtree they share is computed once.  It maps node ``id`` to value,
-        so use a memo for one point only, and only while the fields evaluated
-        through it are alive.
+        One post-order walk with an explicit stack and a memo over shared
+        subtrees, so large derived expressions evaluate in time linear in
+        distinct nodes.  A node's missing children are pushed with the last
+        on top, and its ``_eval`` runs once, when all of them have values; of
+        several undefined sub-expressions, the first reached in that order is
+        the one reported.  ``memo`` lets several calls at the same point
+        share that memoisation: pass one empty dict to the evaluations of all
+        fields wanted at a point, and a subtree they share is computed once.
+        It maps node ``id`` to value and holds only completed nodes, also
+        after a :class:`DomainError`, so use a memo for one point only, and
+        only while the fields evaluated through it are alive.
         """
         pt = _point_tuple(point)
         if memo is None:
             memo = {}
+        get, isfinite = memo.get, math.isfinite
         stack = [self]
+        push, pop = stack.append, stack.pop
         while stack:
-            node = stack[-1]
-            if id(node) in memo:
-                stack.pop()
+            node = pop()
+            key = id(node)
+            if key in memo:
                 continue
-            missing = [c for c in node._children if id(c) not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            kids = tuple(memo[id(c)] for c in node._children)
-            value = node._eval(kids, pt)
-            if not math.isfinite(value):
+            kids = node._children
+            if not kids:
+                value = node._eval((), pt)
+            elif len(kids) == 2:
+                a, b = kids
+                va = get(id(a))
+                vb = get(id(b))
+                if va is None or vb is None:
+                    push(node)
+                    if va is None:
+                        push(a)
+                    if vb is None:
+                        push(b)
+                    continue
+                value = node._eval((va, vb), pt)
+            else:
+                va = get(id(kids[0]))
+                if va is None:
+                    push(node)
+                    push(kids[0])
+                    continue
+                value = node._eval((va,), pt)
+            if not isfinite(value):
                 raise DomainError("non-finite result", pt, node._short_text())
-            memo[id(node)] = value
-            stack.pop()
+            memo[key] = value
         return memo[id(self)]
 
     def _eval(self, kids: tuple, pt: tuple) -> float:
@@ -279,13 +327,14 @@ class Const(ScalarField):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
-        object.__setattr__(self, "value", float(value))
+        self._derivs = _NO_DERIVS
+        self.value = float(value)
 
     @property
     def _prec(self):  # negative literals print like a unary minus
         return _P_ATOM if self.value >= 0 else _P_UNARY
 
-    def _diff(self, k):
+    def _diff(self, k, dk):
         return _ZERO
 
     def _eval(self, kids, pt):
@@ -302,9 +351,10 @@ class Var(ScalarField):
     __slots__ = ("index",)
 
     def __init__(self, index: int) -> None:
-        object.__setattr__(self, "index", index)
+        self._derivs = _NO_DERIVS
+        self.index = index
 
-    def _diff(self, k):
+    def _diff(self, k, dk):
         return _ONE if k == self.index else _ZERO
 
     def _eval(self, kids, pt):
@@ -318,7 +368,8 @@ class _Binary(ScalarField):
     __slots__ = ("_children",)
 
     def __init__(self, a: ScalarField, b: ScalarField) -> None:
-        object.__setattr__(self, "_children", (a, b))
+        self._derivs = _NO_DERIVS
+        self._children = (a, b)
 
     @property
     def a(self):
@@ -338,8 +389,8 @@ class Add(_Binary):
     _op = " + "
     _kid_prec = (_P_ADD, _P_MUL)
 
-    def _diff(self, k):
-        return _add(self.a.diff(k), self.b.diff(k))
+    def _diff(self, k, dk):
+        return _add(dk[0], dk[1])
 
     def _eval(self, kids, pt):
         return kids[0] + kids[1]
@@ -351,8 +402,8 @@ class Sub(_Binary):
     _op = " - "
     _kid_prec = (_P_ADD, _P_MUL)
 
-    def _diff(self, k):
-        return _sub(self.a.diff(k), self.b.diff(k))
+    def _diff(self, k, dk):
+        return _sub(dk[0], dk[1])
 
     def _eval(self, kids, pt):
         return kids[0] - kids[1]
@@ -364,8 +415,9 @@ class Mul(_Binary):
     _op = "*"
     _kid_prec = (_P_MUL, _P_POW)
 
-    def _diff(self, k):
-        return _add(_mul(self.a.diff(k), self.b), _mul(self.a, self.b.diff(k)))
+    def _diff(self, k, dk):
+        a, b = self._children
+        return _add(_mul(dk[0], b), _mul(a, dk[1]))
 
     def _eval(self, kids, pt):
         return kids[0] * kids[1]
@@ -377,9 +429,9 @@ class Div(_Binary):
     _op = "/"
     _kid_prec = (_P_MUL, _P_POW)
 
-    def _diff(self, k):
-        da, db = self.a.diff(k), self.b.diff(k)
-        return _sub(_div(da, self.b), _div(_mul(self.a, db), _mul(self.b, self.b)))
+    def _diff(self, k, dk):
+        a, b = self._children
+        return _sub(_div(dk[0], b), _div(_mul(a, dk[1]), _mul(b, b)))
 
     def _eval(self, kids, pt):
         if kids[1] == 0.0:
@@ -393,14 +445,15 @@ class Neg(ScalarField):
     _kid_prec = (_P_UNARY,)
 
     def __init__(self, a: ScalarField) -> None:
-        object.__setattr__(self, "_children", (a,))
+        self._derivs = _NO_DERIVS
+        self._children = (a,)
 
     @property
     def a(self):
         return self._children[0]
 
-    def _diff(self, k):
-        return _neg(self.a.diff(k))
+    def _diff(self, k, dk):
+        return _neg(dk[0])
 
     def _eval(self, kids, pt):
         return -kids[0]
@@ -417,16 +470,17 @@ class Pow(ScalarField):
     _kid_prec = (_P_ATOM,)
 
     def __init__(self, base: ScalarField, exponent: int) -> None:
-        object.__setattr__(self, "_children", (base,))
-        object.__setattr__(self, "exponent", exponent)
+        self._derivs = _NO_DERIVS
+        self._children = (base,)
+        self.exponent = exponent
 
     @property
     def base(self):
         return self._children[0]
 
-    def _diff(self, k):
+    def _diff(self, k, dk):
         n = self.exponent
-        return _mul(_mul(Const(n), _pow(self.base, n - 1)), self.base.diff(k))
+        return _mul(_mul(Const(n), _pow(self._children[0], n - 1)), dk[0])
 
     def _eval(self, kids, pt):
         try:
@@ -446,16 +500,17 @@ class Call(ScalarField):
     _kid_prec = (_P_ADD,)
 
     def __init__(self, fn: str, arg: ScalarField) -> None:
-        object.__setattr__(self, "_children", (arg,))
-        object.__setattr__(self, "fn", fn)
+        self._derivs = _NO_DERIVS
+        self._children = (arg,)
+        self.fn = fn
 
     @property
     def arg(self):
         return self._children[0]
 
-    def _diff(self, k):
-        u = self.arg
-        du = u.diff(k)
+    def _diff(self, k, dk):
+        u = self._children[0]
+        du = dk[0]
         if self.fn == "sqrt":
             return _div(du, _mul(_TWO, self))
         if self.fn == "sin":
@@ -478,18 +533,12 @@ class Call(ScalarField):
         return f"{self.fn}({kids[0]})"
 
 
+# the derivative cache of a node not yet differentiated; diff gives a node
+# its own dict before storing a derivative, so this one stays empty
+_NO_DERIVS: dict = {}
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
 _TWO = Const(2.0)
-
-
-def _deriv_cache(node: ScalarField) -> dict:
-    try:
-        return node._derivs
-    except AttributeError:
-        cache = {}
-        object.__setattr__(node, "_derivs", cache)
-        return cache
 
 
 def _print(root: ScalarField, depth: int) -> str:
@@ -533,7 +582,7 @@ def _print(root: ScalarField, depth: int) -> str:
 # -- smart constructors: constant folding and neutral elements only ----------
 
 def _is_const(f, v):
-    return isinstance(f, Const) and f.value == v
+    return type(f) is Const and f.value == v
 
 
 def _fold(op, node, *kids):
@@ -541,7 +590,7 @@ def _fold(op, node, *kids):
     kid is a Const and that value is a finite float.  Where ``op`` raises or
     overflows, the node is kept and evaluation reports the domain error."""
     for k in kids:
-        if not isinstance(k, Const):
+        if type(k) is not Const:
             return node(*kids)
     try:
         value = op(*(k.value for k in kids))
@@ -586,8 +635,8 @@ def _div(a, b):
 
 
 def _neg(a):
-    if isinstance(a, Neg):
-        return a.a
+    if type(a) is Neg:
+        return a._children[0]
     return _fold(operator.neg, Neg, a)
 
 
@@ -607,12 +656,21 @@ def _coerce(v) -> "ScalarField | None":
     if isinstance(v, ScalarField):
         return v
     if isinstance(v, (int, float)):
-        return Const(v)
+        try:
+            if math.isfinite(v):
+                return Const(v)
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise ValueError(f"a constant must be a finite number, got {v!r}")
     return None
 
 
 def as_field(v) -> ScalarField:
-    """Coerce a number, expression string or field into a ScalarField."""
+    """Coerce a number, expression string or field into a ScalarField.
+
+    Raises ``ValueError`` for a non-finite number, which no expression text
+    can spell.
+    """
     if isinstance(v, str):
         return parse(v)
     f = _coerce(v)

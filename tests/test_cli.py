@@ -195,6 +195,16 @@ class TestAnalyze:
         err = diagnostic(capsys, "analyze", "heisenberg", "--grid", grid)
         assert "sampling.grid.x: grid points overflow" in err
 
+    @pytest.mark.parametrize("grid, total", [
+        ('{"x":[0,1,1000],"y":[0,1,1000],"z":[0,1,1000]}', 10 ** 9),
+        ('{"x":[0,1,1000000000000],"y":[0,1,1],"z":[0,1,1]}', 10 ** 12),
+        ('{"x":[0,1,1000],"y":[0,1,1000],"z":[0,1,2]}', 2 * 10 ** 6),
+    ], ids=["cube", "one-axis", "just-over"])
+    def test_grid_point_limit(self, capsys, grid, total):
+        # rejected before any grid point is built, so this returns at once
+        err = diagnostic(capsys, "analyze", "heisenberg", "--grid", grid)
+        assert err.startswith(f"error: sampling.grid: {total} points, more than")
+
     def test_points_int_too_large(self, capsys):
         err = diagnostic(capsys, "analyze", "heisenberg", "--points", f"[[{'9' * 400}, 0, 0]]")
         assert "sampling.points[0]: int too large" in err
@@ -386,3 +396,18 @@ class TestEntryPoint:
         flag, value = argv[-2:]
         err = diagnostic(capsys, *argv)
         assert f"{flag} must be a finite number, got {float(value)!r}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("corpus", "--tol-identity", "-inf"), "argument --tol-identity: expected one argument"),
+        (("analyze",), "the following arguments are required: spec"),
+        (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+    ], ids=["option-value", "missing-spec", "unknown-subcommand"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # exit code 2 is kept for holonomic and mixed classifications
+        assert message in diagnostic(capsys, *argv)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "analyze" in capsys.readouterr().out

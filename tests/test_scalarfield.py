@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from cartan_contact.scalarfield import (
     Const,
+    as_field,
     DomainError,
     ExpressionSyntaxError,
     Point,
@@ -140,9 +142,14 @@ class TestParse:
         with pytest.raises(DomainError):
             f.evaluate(ORIGIN)
 
-    def test_non_finite_constant_reported(self):
-        with pytest.raises(DomainError, match="inf"):
-            (parse("x") + math.inf).evaluate(ORIGIN)
+    def test_non_finite_constant_refused(self):
+        # no expression text spells inf or nan, so no field holds one
+        with pytest.raises(ValueError, match="finite"):
+            parse("x") + math.inf
+        with pytest.raises(ValueError, match="finite"):
+            as_field(float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            as_field(10 ** 400)
 
     @pytest.mark.parametrize("text, message, offset", [
         ("x^y + 1", "exponent must be an integer literal", 2),
@@ -204,6 +211,38 @@ class TestEvaluate:
             memo = {}
             assert [g.evaluate(p, memo) for g in fields] == [g.evaluate(p) for g in fields]
             assert id(f) in memo
+
+    @pytest.mark.parametrize("text, point", [
+        ("1/x + 1/y", ORIGIN),
+        ("sqrt(x) + 1/y", (-1.0, 0.0, 0.0)),
+    ])
+    def test_last_child_evaluated_first(self, text, point):
+        # of several undefined sub-expressions, the one reached first is reported
+        with pytest.raises(DomainError) as err:
+            parse(text).evaluate(point)
+        assert err.value.where == "1/y"
+
+    def test_memo_after_failed_evaluation(self):
+        f = parse("sin(x)*exp(z/4) + x*y*z/(2 + z^2)")
+        fields = [f, f.diff("x"), f.diff("x").diff("y"), f * f.diff("z")]
+        # the last child is walked first, so the product completes before 1/y fails
+        failing = parse("1/y") + fields[1] * fields[3]
+        for p in [(0.3, 0.0, -0.5), (-1.2, 0.0, 0.7)]:
+            memo = {}
+            with pytest.raises(DomainError) as err:
+                failing.evaluate(p, memo)
+            assert err.value.where == "1/y"
+            assert id(fields[3]) in memo and id(failing) not in memo
+            # the memo holds completed nodes only, each with its own value
+            stack, seen = [failing], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._children)
+                    if id(node) in memo:
+                        assert memo[id(node)] == node.evaluate(p)
+            assert [g.evaluate(p, memo) for g in fields] == [g.evaluate(p) for g in fields]
 
     def test_accepts_point_and_tuple(self):
         f = parse("x + y*z")
@@ -358,3 +397,54 @@ class TestSimplification:
         f = parse("x^2")
         assert evaluate(f, (3, 0, 0)) == 9.0
         assert evaluate(differentiate(f, "x"), (3, 0, 0)) == 6.0
+
+
+def reference_value(f, p, memo=None):
+    """Value of ``f`` at ``p`` by plain recursion over the node types; shares
+    no code with :meth:`ScalarField.evaluate` and its ``_eval`` methods."""
+    memo = {} if memo is None else memo
+    if id(f) in memo:
+        return memo[id(f)]
+    kind = type(f).__name__
+    if kind == "Const":
+        value = f.value
+    elif kind == "Var":
+        value = p[f.index]
+    else:
+        kids = [reference_value(c, p, memo) for c in f._children]
+        if kind == "Add":
+            value = kids[0] + kids[1]
+        elif kind == "Sub":
+            value = kids[0] - kids[1]
+        elif kind == "Mul":
+            value = kids[0] * kids[1]
+        elif kind == "Div":
+            value = kids[0] / kids[1]
+        elif kind == "Neg":
+            value = -kids[0]
+        elif kind == "Pow":
+            value = kids[0] ** f.exponent
+        else:
+            value = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos,
+                     "exp": math.exp}[f.fn](kids[0])
+    memo[id(f)] = value
+    return value
+
+
+class TestEvaluateProperty:
+    def test_matches_recursive_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coordinate = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                          point=st.tuples(coordinate, coordinate, coordinate),
+                          axes=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        def check(seed, point, axes):
+            f = rand_smooth_field(random.Random(seed))
+            first = f.diff(axes[0])
+            for g in (f, first, first.diff(axes[1])):
+                assert g.evaluate(point) == reference_value(g, point)
+
+        check()
