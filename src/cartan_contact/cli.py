@@ -23,8 +23,8 @@ Grids expand row-major in (x, y, z), n evenly spaced values per axis
 inclusive of endpoints, to at most 10^6 points in all.
 
 Exit codes: 0 success, 1 input or regression errors (a malformed command
-line included), 2 holonomic (or mixed-type) classification.  Machine output is deterministic: fixed field
-order, floats at 12 significant digits.
+line included), 2 holonomic (or mixed-type) classification.  Machine output
+is deterministic: fixed field order, floats at 12 significant digits.
 """
 from __future__ import annotations
 

@@ -138,7 +138,7 @@ class ScalarField:
     a time.
     """
 
-    __slots__ = ("_derivs",)
+    __slots__ = ("_derivs",)   # every constructor sets it, to _NO_DERIVS
 
     _children: tuple = ()
     _prec = _P_ATOM
@@ -371,14 +371,6 @@ class _Binary(ScalarField):
         self._derivs = _NO_DERIVS
         self._children = (a, b)
 
-    @property
-    def a(self):
-        return self._children[0]
-
-    @property
-    def b(self):
-        return self._children[1]
-
     def _text(self, kids):
         return f"{kids[0]}{self._op}{kids[1]}"
 
@@ -448,10 +440,6 @@ class Neg(ScalarField):
         self._derivs = _NO_DERIVS
         self._children = (a,)
 
-    @property
-    def a(self):
-        return self._children[0]
-
     def _diff(self, k, dk):
         return _neg(dk[0])
 
@@ -473,10 +461,6 @@ class Pow(ScalarField):
         self._derivs = _NO_DERIVS
         self._children = (base,)
         self.exponent = exponent
-
-    @property
-    def base(self):
-        return self._children[0]
 
     def _diff(self, k, dk):
         n = self.exponent
@@ -503,10 +487,6 @@ class Call(ScalarField):
         self._derivs = _NO_DERIVS
         self._children = (arg,)
         self.fn = fn
-
-    @property
-    def arg(self):
-        return self._children[0]
 
     def _diff(self, k, dk):
         u = self._children[0]

@@ -8,11 +8,11 @@ import pytest
 
 from cartan_contact.scalarfield import (
     Const,
-    as_field,
     DomainError,
     ExpressionSyntaxError,
     Point,
     UnknownIdentifier,
+    as_field,
     differentiate,
     evaluate,
     parse,
