@@ -50,6 +50,7 @@ from .reduction import (
     reduce as reduce_pipeline,
     REGRESSION_TOL,
     IDENTITY_TOL,
+    ZERO_TOL,
 )
 from .scalarfield import ExpressionSyntaxError, Point, parse as parse_expression
 
@@ -239,6 +240,8 @@ def _tol_value(value, name: str) -> float:
     number = _finite(value)
     if number is None:
         raise CliError(f"{name} must be a finite number, got {value!r}")
+    if number < 0:
+        raise CliError(f"{name} must not be negative, got {number!r}")
     return number
 
 
@@ -431,7 +434,7 @@ def _corpus_row(name: str, tol_identity: float, tol_regression: float):
     elif builtin.m_closed is not None:
         for s in ok:
             want = builtin.m_closed(*s.point)
-            if abs(s.M - want) > max(tol_regression * abs(want), 1e-9):
+            if abs(s.M - want) > max(tol_regression * abs(want), ZERO_TOL):
                 failure = {"name": name, "point": [_num(c) for c in s.point],
                            "expected": _num(want), "got": _num(s.M)}
                 break

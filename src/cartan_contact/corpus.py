@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .forms import VectorField
 from .reduction import Distribution
 
 __all__ = ["Builtin", "BUILTINS", "names", "get", "distribution"]
@@ -78,4 +77,4 @@ def get(name: str) -> Builtin:
 
 def distribution(name: str) -> Distribution:
     b = get(name)
-    return Distribution(VectorField(*b.x1), VectorField(*b.x2), name=b.name)
+    return Distribution.from_components(b.x1, b.x2, name=b.name)

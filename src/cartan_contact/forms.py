@@ -60,21 +60,13 @@ class DegenerateInput(ValueError):
         self.point = point
 
 
-def _three(items, what: str) -> tuple[ScalarField, ScalarField, ScalarField]:
-    coerced = tuple(as_field(c) for c in items)
-    if len(coerced) != 3:
-        raise ValueError(f"{what} needs exactly 3 components, got {len(coerced)}")
-    return coerced
-
-
 class _Triple:
     """Shared plumbing for the three-component geometric objects."""
 
     __slots__ = ("components",)
-    _what = "triple"
 
     def __init__(self, c1, c2, c3) -> None:
-        object.__setattr__(self, "components", _three((c1, c2, c3), self._what))
+        self.components = (as_field(c1), as_field(c2), as_field(c3))
 
     def at(self, point) -> tuple[float, float, float]:
         """Evaluate all components at a point."""
@@ -112,27 +104,22 @@ class VectorField(_Triple):
     """Vector field with components in the coordinate frame (d/dx, d/dy, d/dz)."""
 
     __slots__ = ()
-    _what = "a vector field"
 
 
 class OneForm(_Triple):
     """1-form with coefficients of (dx, dy, dz)."""
 
     __slots__ = ()
-    _what = "a 1-form"
 
     def __call__(self, X: VectorField) -> ScalarField:
         """Pairing with a vector field."""
-        a, b, c = self.components
-        u, v, w = X.components
-        return a * u + b * v + c * w
+        return dot(self, X)
 
 
 class TwoForm(_Triple):
     """2-form with coefficients of the cyclic basis (dy^dz, dz^dx, dx^dy)."""
 
     __slots__ = ()
-    _what = "a 2-form"
 
     def __call__(self, X: VectorField, Y: VectorField) -> ScalarField:
         return apply_two_form(self, X, Y)
@@ -144,7 +131,7 @@ class ThreeForm:
     __slots__ = ("coefficient",)
 
     def __init__(self, coefficient) -> None:
-        object.__setattr__(self, "coefficient", as_field(coefficient))
+        self.coefficient = as_field(coefficient)
 
     def at(self, point) -> float:
         return self.coefficient.evaluate(point)
@@ -154,7 +141,7 @@ class ThreeForm:
 
 
 def dot(X: VectorField, Y: VectorField) -> ScalarField:
-    """Ambient Euclidean scalar product."""
+    """Ambient Euclidean scalar product: the componentwise pairing of two triples."""
     u, v, w = X.components
     a, b, c = Y.components
     return u * a + v * b + w * c
@@ -331,9 +318,7 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
 
 def wedge21(omega: TwoForm, alpha: OneForm) -> ThreeForm:
     """Wedge of a 2-form with a 1-form."""
-    a, b, c = omega.components
-    p, q, r = alpha.components
-    return ThreeForm(a * p + b * q + c * r)
+    return ThreeForm(dot(omega, alpha))
 
 
 def apply_two_form(omega: TwoForm, X: VectorField, Y: VectorField) -> ScalarField:

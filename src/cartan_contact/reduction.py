@@ -332,23 +332,6 @@ def contact_torsion(A: AdaptedCoframe) -> TorsionSlice:
     return TorsionSlice(*rows[2])
 
 
-def _apply_scale(A: AdaptedCoframe, scale) -> AdaptedCoframe:
-    """Stage B0 -> B1 by the structure-group element with rotation identity,
-    zero translations and scale ``scale``: eta^3 -> eta^3 / scale, dual frame
-    e3 -> scale * e3.
-
-    ``scale`` is a field, or the number -1, applied as the exact sign flip
-    eta^3 -> -eta^3, e3 -> -e3.
-    """
-    eta1, eta2, eta3 = A.coframe.forms
-    e1, e2, e3 = A.frame.fields
-    if scale == -1:
-        eta3, e3 = -eta3, -e3
-    else:
-        eta3, e3 = eta3 / scale, e3 * scale
-    return AdaptedCoframe(Coframe(eta1, eta2, eta3), Frame(e1, e2, e3), "B1")
-
-
 def normalize_scale(A: AdaptedCoframe, check_points=None) -> AdaptedCoframe:
     """Rescale eta^3 by its own torsion so that c3_12 becomes exactly 1.
 
@@ -371,7 +354,9 @@ def normalize_scale(A: AdaptedCoframe, check_points=None) -> AdaptedCoframe:
                 raise ContactDegeneracy(p, 0.0) from exc
             if abs(v) < CONTACT_TOL:
                 raise ContactDegeneracy(p, v)
-    return _apply_scale(A, t12)
+    eta1, eta2, eta3 = A.coframe.forms
+    e1, e2, e3 = A.frame.fields
+    return AdaptedCoframe(Coframe(eta1, eta2, eta3 / t12), Frame(e1, e2, e3 * t12), "B1")
 
 
 def absorb_translations(A: AdaptedCoframe) -> AdaptedCoframe:
@@ -425,13 +410,6 @@ def extract_invariants(A: AdaptedCoframe) -> InvariantReport:
     )
 
 
-def _try_eval(f: ScalarField, p: Point, memo: dict) -> float | None:
-    try:
-        return f.evaluate(p, memo)
-    except DomainError:
-        return None
-
-
 def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> InvariantReport:
     """Run the full reduction over sample points.
 
@@ -461,7 +439,9 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
 
     b0 = build_adapted(D, points=())
     t12_b0 = contact_torsion(b0).t12
-    b1 = _apply_scale(b0, -1)
+    eta1, eta2, eta3 = b0.coframe.forms
+    e1, e2, e3 = b0.frame.fields
+    b1 = AdaptedCoframe(Coframe(eta1, eta2, -eta3), Frame(e1, e2, -e3), "B1")
     b2 = absorb_translations(b1)
     inv = extract_invariants(b2)
 
@@ -476,16 +456,14 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
             samples.append(SampleRecord(p, "holonomic-at-point", det3=det3))
             continue
         memo: dict = {}   # shared by the six outputs at this point
-        t312 = _try_eval(t12_b0, p, memo)
-        if t312 is None:
+        t312 = None
+        try:
+            t312 = t12_b0.evaluate(p, memo)
+            a1, a2, m, dd, q1p2 = (f.evaluate(p, memo) for f in
+                                   (inv.a1, inv.a2, inv.M, inv.dd_eta3, inv.q1_minus_p2))
+        except DomainError:
             samples.append(SampleRecord(p, "singular", det3=det3, T312=t312))
             continue
-        values = [_try_eval(f, p, memo)
-                  for f in (inv.a1, inv.a2, inv.M, inv.dd_eta3, inv.q1_minus_p2)]
-        if any(v is None for v in values):
-            samples.append(SampleRecord(p, "singular", det3=det3, T312=t312))
-            continue
-        a1, a2, m, dd, q1p2 = values
         if abs(q1p2) > CONSISTENCY_TOL:
             raise ConsistencyError(p, q1p2)
         status = "ok" if abs(dd) <= identity_tol and abs(q1p2) <= identity_tol else "singular"

@@ -106,15 +106,12 @@ class Point:
 
 
 def _point_tuple(p) -> tuple[float, float, float]:
-    if isinstance(p, Point):
-        return p.as_tuple()
-    t = tuple(float(c) for c in p)
-    if len(t) != 3:
-        raise ValueError(f"expected 3 coordinates, got {len(t)}")
-    for c in t:
-        if not math.isfinite(c):
-            raise ValueError(f"point coordinates must be finite, got {c!r}")
-    return t
+    if not isinstance(p, Point):
+        t = tuple(float(c) for c in p)
+        if len(t) != 3:
+            raise ValueError(f"expected 3 coordinates, got {len(t)}")
+        p = Point(*t)
+    return p.as_tuple()
 
 
 def _coord_key(var) -> int:

@@ -148,6 +148,19 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert f"tol.{key}" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("key", ["identity", "regression"])
+    def test_negative_tol_diagnostic(self, capsys, tmp_path, key):
+        spec = write_spec(tmp_path, name="negtol", tol={key: -1})
+        err = diagnostic(capsys, "analyze", spec)
+        assert err == f"error: tol.{key} must not be negative, got -1.0\n"
+
+    def test_zero_tol_runs(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, name="zerotol", tol={"identity": 0, "regression": 0},
+                          sampling={"points": [[1, 0, 0.3]]})
+        assert run_cli(capsys, "analyze", spec)[0] == 0
+        assert run_cli(capsys, "analyze", "heisenberg", "--points", "[[1,0,0.3]]",
+                       "--tol-identity", "0")[0] == 0
+
     def test_long_sum_component(self, capsys, tmp_path):
         # X1 z-component c*x*y with c = 1 + ... + 500 = 125250, so
         # [X1, X2] = (0, 0, 1 - c*x) and det3 = 1 - c*x
@@ -396,6 +409,19 @@ class TestEntryPoint:
         flag, value = argv[-2:]
         err = diagnostic(capsys, *argv)
         assert f"{flag} must be a finite number, got {float(value)!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "heisenberg", "--points", "[[1,0,0.3]]", "--tol-identity", "-1"),
+        ("compare", "heisenberg", "cartan", "--tol-identity", "-0.001"),
+        ("compare", "heisenberg", "cartan", "--tol-regression", "-1"),
+        ("corpus", "--tol-identity", "-0.5"),
+        ("corpus", "--tol-regression", "-0.000001"),
+    ], ids=["analyze-identity", "compare-identity", "compare-regression",
+            "corpus-identity", "corpus-regression"])
+    def test_negative_tol_flag_diagnostic(self, capsys, argv):
+        flag, value = argv[-2:]
+        err = diagnostic(capsys, *argv)
+        assert err == f"error: {flag} must not be negative, got {float(value)!r}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("corpus", "--tol-identity", "-inf"), "argument --tol-identity: expected one argument"),

@@ -409,10 +409,39 @@ class TestReduce:
         assert rep.samples[0].point == Point(1.0, 0.0, 0.3)
         assert rep.samples[0].M == pytest.approx(9 / 64, rel=1e-6)
 
+    def test_near_holonomic_band(self):
+        # det3 = 3e8 everywhere, but |[X1, X2]| grows with x: |det3| / scale
+        # is 1, 3.3e-9 and 3.3e-7, all above classify's 1e-9, and only
+        # (1, 0, 0) is at or below reduce's per-point 1e-8
+        dist = Distribution.from_components(("1", "0", "0"), ("0", "1", "300000000*x"))
+        points = [Point(0.0, 0.0, 0.0), Point(1.0, 0.0, 0.0), Point(0.01, 0.0, 0.0)]
+        cls = classify(dist, points)
+        assert [r.status for r in cls.records] == ["contact"] * 3
+        ratios = [abs(r.det3) / r.scale for r in cls.records]
+        assert ratios == pytest.approx([1.0, 1 / 3 * 1e-8, 1 / 3 * 1e-6], rel=1e-6)
+        rep = reduce(dist, points)
+        assert [s.status for s in rep.samples] == ["ok", "holonomic-at-point", "ok"]
+        band = rep.samples[1]
+        assert band.det3 == pytest.approx(3e8, rel=1e-12)
+        assert band.T312 is None and band.M is None
 
-def distinct_nodes(f) -> int:
-    """Distinct node objects reachable from ``f``."""
-    seen, stack = set(), [f]
+    def test_singular_record_carries_t312_when_evaluated(self):
+        # the derivatives of sqrt(x) overflow near x = 0: at 1e-100 only the
+        # outputs, which take one derivative more than T312, overflow; at
+        # 1e-250 T312 overflows too
+        dist = Distribution.from_components(("1", "0", "-y"), ("0", "1", "sqrt(x)"))
+        rep = reduce(dist, [(1.0, 0.0, 0.0), (1e-100, 0.0, 0.0), (1e-250, 0.0, 0.0)])
+        assert [s.status for s in rep.samples] == ["ok", "singular", "singular"]
+        assert rep.samples[1].T312 == pytest.approx(-1.0, abs=1e-9)
+        assert rep.samples[2].T312 is None
+        for s in rep.samples[1:]:
+            assert s.det3 is not None
+            assert (s.a1, s.a2, s.M, s.dd_eta3, s.q1_minus_p2) == (None,) * 5
+
+
+def distinct_nodes(*fields) -> int:
+    """Distinct node objects reachable from any of ``fields``."""
+    seen, stack = set(), list(fields)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -439,6 +468,30 @@ class TestUnitTorsionIdentity:
         # dividing by t12 gave 7923 (heisenberg) and 681 (cartan) nodes
         rep = reduce(corpus.distribution(name), [ORIGIN])
         assert distinct_nodes(rep.M) <= bound
+
+    # distinct nodes of each output and of their union, as counted when these
+    # bounds were set; a change may lower them, never raise them
+    NODE_BOUNDS = {
+        "heisenberg": {"t12": 382, "a1": 1922, "a2": 1807, "M": 1936,
+                       "dd_eta3": 859, "q1_minus_p2": 1920, "union": 2326},
+        "cartan": {"t12": 85, "a1": 261, "a2": 1, "M": 262,
+                   "dd_eta3": 1, "q1_minus_p2": 1, "union": 344},
+        "respan": {"t12": 1059, "a1": 5337, "a2": 5181, "M": 5354,
+                   "dd_eta3": 2915, "q1_minus_p2": 5335, "union": 6413},
+    }
+
+    @pytest.mark.parametrize("name", list(NODE_BOUNDS))
+    def test_output_node_count_bounds(self, name):
+        dist = next(d for d in self.cases() if d.name == name)
+        rep = reduce(dist, [ORIGIN])
+        outputs = {"t12": contact_torsion(build_adapted(dist, points=())).t12,
+                   "a1": rep.a1, "a2": rep.a2, "M": rep.M,
+                   "dd_eta3": rep.dd_eta3, "q1_minus_p2": rep.q1_minus_p2}
+        counts = {key: distinct_nodes(f) for key, f in outputs.items()}
+        counts["union"] = distinct_nodes(*outputs.values())
+        over = {key: (n, self.NODE_BOUNDS[name][key]) for key, n in counts.items()
+                if n > self.NODE_BOUNDS[name][key]}
+        assert not over, over
 
     def test_t312_is_minus_one_at_ok_points(self, grid):
         for dist in self.cases():
