@@ -124,13 +124,15 @@ def _points_from_grid(grid) -> list[Point]:
         if not isinstance(spec, (list, tuple)) or len(spec) != 3:
             raise CliError(f"sampling.grid.{axis} must be [lo, hi, n]")
         lo, hi, n = spec
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise CliError(f"sampling.grid.{axis}: count must be an integer >= 1")
-        if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and lo <= hi):
-            raise CliError(f"sampling.grid.{axis}: needs lo <= hi")
+        if not (_is_number(lo) and _is_number(hi)):
+            raise CliError(f"sampling.grid.{axis}: endpoints must be numbers")
         lo, hi = _finite(lo), _finite(hi)
         if lo is None or hi is None:
             raise CliError(f"sampling.grid.{axis}: endpoints must be finite")
+        if not lo <= hi:
+            raise CliError(f"sampling.grid.{axis}: needs lo <= hi")
         bounds[axis] = (lo, hi, n)
         total *= n
     if total > _MAX_GRID_POINTS:
@@ -151,9 +153,11 @@ def _points_from_list(items) -> list[Point]:
     for i, item in enumerate(items):
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise CliError(f"sampling.points[{i}] must be an [x, y, z] triple")
+        if not all(map(_is_number, item)):
+            raise CliError(f"sampling.points[{i}]: coordinates must be numbers")
         try:
             pts.append(Point(*(float(c) for c in item)))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise CliError(f"sampling.points[{i}]: {exc}") from exc
     return pts
 
@@ -227,13 +231,18 @@ def load_spec(path_or_name: str, args) -> InputSpec:
     )
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number; booleans and strings are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value) -> float | None:
-    """``value`` as a finite float, or None; booleans are not numbers here."""
+    """``value`` as a finite float if it is a number (see :func:`_is_number`), or None."""
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         return None
-    return None if isinstance(value, bool) or not math.isfinite(number) else number
+    return number if _is_number(value) and math.isfinite(number) else None
 
 
 def _tol_value(value, name: str) -> float:

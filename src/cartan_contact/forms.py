@@ -8,6 +8,9 @@ coefficients in the coordinate bases:
 * 2-forms in the cyclic basis (dy^dz, dz^dx, dx^dy),
 * 3-forms as a single multiple of dx^dy^dz.
 
+The cyclic order is fixed once, in the cross product ``_cross`` behind the
+determinant, the dual coframe, :func:`wedge` and :func:`apply_two_form`.
+
 All objects are immutable and all operations are pure; coefficients are never
 canonicalised symbolically, so identities (d o d = 0, duality, Leibniz) are
 checked numerically at sample points.
@@ -151,14 +154,16 @@ def norm(X: VectorField) -> ScalarField:
     return sqrt(dot(X, X))
 
 
-def triple_product(X: VectorField, Y: VectorField, Z: VectorField) -> ScalarField:
-    """det of the 3x3 component matrix with rows X, Y, Z."""
+def _cross(X, Y, kind=VectorField):
+    """X x Y as a ``kind`` triple, in the cyclic order (23, 31, 12)."""
     x1, x2, x3 = X.components
     y1, y2, y3 = Y.components
-    z1, z2, z3 = Z.components
-    return (x1 * (y2 * z3 - y3 * z2)
-            - x2 * (y1 * z3 - y3 * z1)
-            + x3 * (y1 * z2 - y2 * z1))
+    return kind(x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
+
+
+def triple_product(X: VectorField, Y: VectorField, Z: VectorField) -> ScalarField:
+    """det of the 3x3 component matrix with rows X, Y, Z: X . (Y x Z)."""
+    return dot(X, _cross(Y, Z))
 
 
 def commutator(X: VectorField, Y: VectorField) -> VectorField:
@@ -215,10 +220,6 @@ class Frame:
     def fields(self) -> tuple[VectorField, VectorField, VectorField]:
         return (self.e1, self.e2, self.e3)
 
-    def matrix(self):
-        """3x3 ScalarField rows: components of e1, e2, e3."""
-        return tuple(e.components for e in self.fields)
-
     def determinant(self) -> ScalarField:
         return triple_product(self.e1, self.e2, self.e3)
 
@@ -271,20 +272,15 @@ def complete_frame(e1: VectorField, e2: VectorField, check_points=None) -> Frame
 def dual_coframe(F: Frame) -> Coframe:
     """Coframe (eta^1, eta^2, eta^3) with eta^i(e_j) = delta^i_j.
 
-    Computed symbolically as the adjugate of the component matrix over its
-    determinant: row i of the cofactor matrix of the frame rows, divided by
-    det.  No pivoting; conditioning is handled by per-point domain checks,
-    or beforehand by :meth:`Frame.require_nondegenerate`.
+    Computed symbolically as eta^i = (e_j x e_k) / det for (i, j, k) cyclic,
+    det = e1 . (e2 x e3).  No pivoting; conditioning is handled by per-point
+    domain checks, or beforehand by :meth:`Frame.require_nondegenerate`.
     """
-    (a, b, c), (d, e, f), (g, h, i) = F.matrix()
-    cof = (
-        (e * i - f * h, f * g - d * i, d * h - e * g),
-        (c * h - b * i, a * i - c * g, b * g - a * h),
-        (b * f - c * e, c * d - a * f, a * e - b * d),
-    )
-    det = a * cof[0][0] + b * cof[0][1] + c * cof[0][2]
-    rows = [OneForm(*(entry / det for entry in cof[k])) for k in range(3)]
-    return Coframe(*rows)
+    e1, e2, e3 = F.fields
+    eta1 = _cross(e2, e3, OneForm)
+    det = dot(e1, eta1)
+    return Coframe(eta1 / det, _cross(e3, e1, OneForm) / det,
+                   _cross(e1, e2, OneForm) / det)
 
 
 def differential(f) -> OneForm:
@@ -311,9 +307,7 @@ def exterior_derivative2(omega: TwoForm) -> ThreeForm:
 
 def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
     """Wedge of two 1-forms in the cyclic 2-form basis."""
-    a1, a2, a3 = alpha.components
-    b1, b2, b3 = beta.components
-    return TwoForm(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    return _cross(alpha, beta, TwoForm)
 
 
 def wedge21(omega: TwoForm, alpha: OneForm) -> ThreeForm:
@@ -323,12 +317,7 @@ def wedge21(omega: TwoForm, alpha: OneForm) -> ThreeForm:
 
 def apply_two_form(omega: TwoForm, X: VectorField, Y: VectorField) -> ScalarField:
     """omega(X, Y); antisymmetric, and equals a(X)b(Y) - a(Y)b(X) for omega = a^b."""
-    a, b, c = omega.components
-    x1, x2, x3 = X.components
-    y1, y2, y3 = Y.components
-    return (a * (x2 * y3 - x3 * y2)
-            + b * (x3 * y1 - x1 * y3)
-            + c * (x1 * y2 - x2 * y1))
+    return dot(omega, _cross(X, Y))
 
 
 def structure_coefficients(C: Coframe, F: Frame):

@@ -74,7 +74,7 @@ __all__ = [
 # per-point thresholds of the sampling policy in reduce
 POINT_HOLONOMIC_RTOL = 1e-8
 CONTACT_TOL = 1e-8
-# residual tolerances
+# residual tolerances; CONSISTENCY_TOL is relative to max(1, |a1|, |a2|)
 IDENTITY_TOL = 1e-8
 CONSISTENCY_TOL = 1e-6
 REGRESSION_TOL = 1e-6
@@ -234,13 +234,13 @@ class ComparisonResult:
 
 
 def grid_axis(lo: float, hi: float, n: int) -> list[float]:
-    """n evenly spaced values on [lo, hi] inclusive; n = 1 yields lo."""
+    """n evenly spaced values on [lo, hi], ending exactly at hi; n = 1 yields lo."""
     if n < 1:
         raise ValueError("grid axis needs at least one sample")
     if n == 1:
         return [float(lo)]
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return [lo + i * step for i in range(n - 1)] + [float(hi)]
 
 
 def default_grid_points() -> list[Point]:
@@ -427,8 +427,8 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     below the per-point threshold are marked (statuses ``singular`` and
     ``holonomic-at-point``) and excluded from aggregates.  The contact
     torsion needs no threshold of its own: wherever T312 is defined it is
-    -1.  A q1 - p2 residual beyond 1e-6 at an otherwise healthy point raises
-    :class:`ConsistencyError`, since the identity is exact.
+    -1.  A q1 - p2 residual beyond 1e-6 max(1, |a1|, |a2|) at an otherwise
+    healthy point raises :class:`ConsistencyError`: the identity is exact.
     """
     points = [p if isinstance(p, Point) else Point(*p) for p in points]
     cls = classify(D, points)
@@ -464,7 +464,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
         except DomainError:
             samples.append(SampleRecord(p, "singular", det3=det3, T312=t312))
             continue
-        if abs(q1p2) > CONSISTENCY_TOL:
+        if abs(q1p2) > CONSISTENCY_TOL * max(1.0, abs(a1), abs(a2)):
             raise ConsistencyError(p, q1p2)
         status = "ok" if abs(dd) <= identity_tol and abs(q1p2) <= identity_tol else "singular"
         samples.append(SampleRecord(p, status, det3=det3, T312=t312,

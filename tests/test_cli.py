@@ -9,8 +9,10 @@ import sys
 
 import pytest
 
-from cartan_contact import corpus
+from cartan_contact import corpus, reduction
 from cartan_contact.cli import main
+from cartan_contact.reduction import extract_invariants
+from cartan_contact.scalarfield import as_field
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,11 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert f"tol.{key}" in err and "'abc'" in err
 
+    def test_numeric_string_tol_diagnostic(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, name="strtol", tol={"identity": "1e-8"})
+        err = diagnostic(capsys, "analyze", spec)
+        assert err == "error: tol.identity must be a finite number, got '1e-8'\n"
+
     @pytest.mark.parametrize("key", ["identity", "regression"])
     def test_negative_tol_diagnostic(self, capsys, tmp_path, key):
         spec = write_spec(tmp_path, name="negtol", tol={key: -1})
@@ -203,6 +210,12 @@ class TestAnalyze:
                                              "z": [0, 0, 1]}})
         assert "sampling.grid.x: endpoints must be finite" in diagnostic(capsys, "analyze", spec)
 
+    @pytest.mark.parametrize("x", ["[NaN,1,3]", "[Infinity,1,3]"], ids=["nan", "inf"])
+    def test_grid_non_finite_endpoint_before_order(self, capsys, x):
+        grid = f'{{"x":{x},"y":[0,0,1],"z":[0,0,1]}}'
+        err = diagnostic(capsys, "analyze", "heisenberg", "--grid", grid)
+        assert err == "error: sampling.grid.x: endpoints must be finite\n"
+
     def test_grid_overflow_flag(self, capsys):
         grid = '{"x":[-1e308,1e308,3],"y":[0,0,1],"z":[0,0,1]}'
         err = diagnostic(capsys, "analyze", "heisenberg", "--grid", grid)
@@ -221,6 +234,41 @@ class TestAnalyze:
     def test_points_int_too_large(self, capsys):
         err = diagnostic(capsys, "analyze", "heisenberg", "--points", f"[[{'9' * 400}, 0, 0]]")
         assert "sampling.points[0]: int too large" in err
+
+    @pytest.mark.parametrize("points", ["[[true,0,0.3]]", '[["1",0,0.3]]'],
+                             ids=["bool", "string"])
+    def test_points_must_be_numbers(self, capsys, points):
+        err = diagnostic(capsys, "analyze", "heisenberg", "--points", points)
+        assert err == "error: sampling.points[0]: coordinates must be numbers\n"
+
+    def test_grid_count_must_not_be_bool(self, capsys):
+        grid = '{"x":[0,1,true],"y":[0,0,1],"z":[0,0,1]}'
+        err = diagnostic(capsys, "analyze", "heisenberg", "--grid", grid)
+        assert "sampling.grid.x: count must be an integer >= 1" in err
+
+    @pytest.mark.parametrize("x", ["[false,true,3]", '["0",1,3]'], ids=["bool", "string"])
+    def test_grid_endpoints_must_be_numbers(self, capsys, x):
+        grid = f'{{"x":{x},"y":[0,0,1],"z":[0,0,1]}}'
+        err = diagnostic(capsys, "analyze", "heisenberg", "--grid", grid)
+        assert err == "error: sampling.grid.x: endpoints must be numbers\n"
+
+    def test_large_coefficients_are_no_internal_error(self, capsys, tmp_path):
+        # a1 is -2.7e11 here and rounding leaves q1 - p2 near 7.6e-6: above
+        # 1e-6 and the identity tolerance, below 1e-6 max(1, |a1|, |a2|)
+        spec = write_spec(tmp_path, name="large", x2=("0", "1", "x + sin(1000000*y)"),
+                          sampling={"points": [[0.5, -0.7, 0.3]]})
+        code, out, err = run_cli(capsys, "analyze", spec, "--format", "json")
+        assert (code, err) == (0, "")
+        (record,) = json.loads(out)["records"]
+        assert record["status"] == "singular"
+        assert 1e-6 < abs(record["residuals"]["q1_minus_p2"]) <= 1e-6 * abs(record["a1"])
+
+    def test_consistency_error_is_internal_error(self, capsys, monkeypatch):
+        broken = lambda A: dataclasses.replace(extract_invariants(A), q1_minus_p2=as_field(1))
+        monkeypatch.setattr(reduction, "extract_invariants", broken)
+        code, out, err = run_cli(capsys, "analyze", "heisenberg", "--points", "[[1,0,0.3]]")
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("internal error: d(d eta3) = 0 forces Q1 = P2")
 
     def test_deeply_nested_spec_file(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

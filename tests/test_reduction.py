@@ -1,6 +1,7 @@
 """Reduction pipeline: classification, stages, invariants, comparison."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -21,6 +22,7 @@ from cartan_contact.forms import (
 )
 from cartan_contact.reduction import (
     AdaptedCoframe,
+    ConsistencyError,
     ContactDegeneracy,
     Distribution,
     HolonomicError,
@@ -38,7 +40,8 @@ from cartan_contact.reduction import (
     normalize_scale,
     reduce,
 )
-from cartan_contact import corpus
+from cartan_contact import corpus, reduction
+from cartan_contact.scalarfield import as_field
 from helpers import rand_points
 
 ORIGIN = Point(0.0, 0.0, 0.0)
@@ -59,6 +62,13 @@ class TestGrid:
         assert grid_axis(-1.0, 1.0, 5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
         assert grid_axis(0.3, 0.3, 1) == [0.3]
         assert grid_axis(2.0, 5.0, 2) == [2.0, 5.0]
+
+    def test_axis_ends_at_hi(self):
+        # lo + (n - 1) * step misses hi on many of these, e.g. (0.1, 1.0, 11)
+        for lo, hi in ((0.1, 1.0), (-0.7, 0.3), (0.0, 0.9), (-1.0, 1e-3)):
+            for n in range(2, 30):
+                axis = grid_axis(lo, hi, n)
+                assert (len(axis), axis[0], axis[-1]) == (n, lo, hi)
 
     def test_axis_needs_positive_count(self):
         with pytest.raises(ValueError):
@@ -424,6 +434,12 @@ class TestReduce:
         band = rep.samples[1]
         assert band.det3 == pytest.approx(3e8, rel=1e-12)
         assert band.T312 is None and band.M is None
+
+    def test_broken_identity_raises_consistency(self, heisenberg, monkeypatch):
+        broken = lambda A: dataclasses.replace(extract_invariants(A), q1_minus_p2=as_field(1))
+        monkeypatch.setattr(reduction, "extract_invariants", broken)
+        with pytest.raises(ConsistencyError):
+            reduce(heisenberg, [(1.0, 0.0, 0.3)])
 
     def test_singular_record_carries_t312_when_evaluated(self):
         # the derivatives of sqrt(x) overflow near x = 0: at 1e-100 only the
