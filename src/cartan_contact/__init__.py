@@ -6,69 +6,9 @@ the scalar invariant M = a1^2 + a2^2 of a contact 2-plane field with the
 induced Euclidean metric.
 """
 
-from .scalarfield import (
-    DomainError,
-    ExpressionSyntaxError,
-    Point,
-    ScalarField,
-    UnknownIdentifier,
-    as_field,
-    cos,
-    differentiate,
-    evaluate,
-    exp,
-    parse,
-    sin,
-    sqrt,
-)
-from .forms import (
-    Coframe,
-    DegenerateInput,
-    Frame,
-    OneForm,
-    ThreeForm,
-    TwoForm,
-    VectorField,
-    apply_two_form,
-    commutator,
-    complete_frame,
-    differential,
-    dot,
-    dual_coframe,
-    exterior_derivative,
-    exterior_derivative2,
-    gram_schmidt,
-    norm,
-    pairing_matrix,
-    structure_coefficients,
-    triple_product,
-    wedge,
-    wedge21,
-)
-from .reduction import (
-    AdaptedCoframe,
-    Classification,
-    ComparisonResult,
-    ConsistencyError,
-    ContactDegeneracy,
-    Distribution,
-    HolonomicError,
-    InvariantReport,
-    MixedTypeError,
-    SampleRecord,
-    TorsionSlice,
-    absorb_translations,
-    adapted_from_orthonormal,
-    build_adapted,
-    classify,
-    compare,
-    contact_torsion,
-    default_grid_points,
-    extract_invariants,
-    grid_axis,
-    normalize_scale,
-    reduce,
-)
+from .scalarfield import *
+from .forms import *
+from .reduction import *
 from . import corpus
 
 __version__ = "0.1.0"

@@ -179,10 +179,13 @@ def load_spec(path_or_name: str, args) -> InputSpec:
         b = corpus_mod.get(path_or_name)
         raw = {"name": b.name, "fields": {"X1": list(b.x1), "X2": list(b.x2)}}
     else:
-        path = Path(path_or_name)
-        if not path.exists():
-            raise CliError(f"input file not found: {path_or_name}")
-        raw = _load_json(path.read_text(), path_or_name)
+        try:
+            text = Path(path_or_name).read_text()
+        except FileNotFoundError:
+            raise CliError(f"input file not found: {path_or_name}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliError(f"{path_or_name}: cannot read ({exc})") from None
+        raw = _load_json(text, path_or_name)
         if not isinstance(raw, dict):
             raise CliError(f"{path_or_name}: top level must be an object")
         if raw.get("schema") != SCHEMA:

@@ -133,6 +133,11 @@ class ScalarField:
     node, so several threads may evaluate shared nodes; differentiation is
     not guarded by a lock, so differentiate shared nodes from one thread at
     a time.
+
+    No node class defines ``__eq__`` or ``__hash__``: nodes compare and hash
+    by identity, which is what lets :meth:`evaluate` key its memo by node.
+    Two structurally equal nodes are distinct keys, so a structural
+    ``__eq__`` would merge their memo entries.
     """
 
     __slots__ = ("_derivs",)   # every constructor sets it, to _NO_DERIVS
@@ -250,9 +255,8 @@ class ScalarField:
         the one reported.  ``memo`` lets several calls at the same point
         share that memoisation: pass one empty dict to the evaluations of all
         fields wanted at a point, and a subtree they share is computed once.
-        It maps node ``id`` to value and holds only completed nodes, also
-        after a :class:`DomainError`, so use a memo for one point only, and
-        only while the fields evaluated through it are alive.
+        It maps each completed node to its value, also after a
+        :class:`DomainError`, and serves one point only.
         """
         pt = _point_tuple(point)
         if memo is None:
@@ -262,16 +266,15 @@ class ScalarField:
         push, pop = stack.append, stack.pop
         while stack:
             node = pop()
-            key = id(node)
-            if key in memo:
+            if node in memo:
                 continue
             kids = node._children
             if not kids:
                 value = node._eval((), pt)
             elif len(kids) == 2:
                 a, b = kids
-                va = get(id(a))
-                vb = get(id(b))
+                va = get(a)
+                vb = get(b)
                 if va is None or vb is None:
                     push(node)
                     if va is None:
@@ -281,7 +284,7 @@ class ScalarField:
                     continue
                 value = node._eval((va, vb), pt)
             else:
-                va = get(id(kids[0]))
+                va = get(kids[0])
                 if va is None:
                     push(node)
                     push(kids[0])
@@ -289,8 +292,8 @@ class ScalarField:
                 value = node._eval((va,), pt)
             if not isfinite(value):
                 raise DomainError("non-finite result", pt, node._short_text())
-            memo[key] = value
-        return memo[id(self)]
+            memo[node] = value
+        return memo[self]
 
     def _eval(self, kids: tuple, pt: tuple) -> float:
         raise NotImplementedError

@@ -42,6 +42,15 @@ def write_spec(tmp_path, name="custom", x1=("1", "0", "-y"), x2=("0", "1", "x"),
     return str(path)
 
 
+def unreadable_spec(tmp_path, kind) -> str:
+    """A spec path that exists but cannot be read as text."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")   # a UTF-16 byte-order mark
+    return str(path)
+
+
 class TestAnalyze:
     def test_builtin_point_json(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "heisenberg",
@@ -89,6 +98,41 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/input.json")
         assert code == 1
         assert "not found" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_spec_diagnostic(self, capsys, tmp_path, kind):
+        spec = unreadable_spec(tmp_path, kind)
+        assert diagnostic(capsys, "analyze", spec).startswith(f"error: {spec}: cannot read (")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "top level must be an object"),
+        ('{"schema": "cartan-contact/1", "fields": {"X1": ["1", "0", "-y"]}}',
+         "fields must hold exactly X1 and X2"),
+        ('{"schema": "cartan-contact/1", "fields": {"X1": ["1", "0"], "X2": ["0", "1", "x"]}}',
+         "fields.X1: expected a list of exactly 3 expression strings"),
+    ], ids=["not-an-object", "no-x2", "two-strings"])
+    def test_malformed_spec_diagnostic(self, capsys, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert message in diagnostic(capsys, "analyze", str(path))
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid", "[0,1,3]", "sampling.grid must be an object with axes x, y, z"),
+        ("--grid", '{"x":[0,1],"y":[0,0,1],"z":[0,0,1]}', "sampling.grid.x must be [lo, hi, n]"),
+        ("--points", "[]", "sampling.points must be a nonempty list of [x, y, z] triples"),
+        ("--points", "[[1,0]]", "sampling.points[0] must be an [x, y, z] triple"),
+    ], ids=["grid-not-an-object", "axis-not-a-triple", "no-points", "point-not-a-triple"])
+    def test_malformed_sampling_diagnostic(self, capsys, flag, value, message):
+        err = diagnostic(capsys, "analyze", "heisenberg", flag, value)
+        assert err == f"error: {message}\n"
+
+    def test_grid_expands_row_major(self, capsys):
+        grid = '{"x":[0,1,2],"y":[-1,1,3],"z":[0.1,0.3,2]}'
+        code, out, _ = run_cli(capsys, "analyze", "cartan", "--grid", grid, "--format", "json")
+        assert code == 0
+        points = [tuple(r["point"]) for r in json.loads(out)["records"]]
+        assert points == [(x, y, z) for x in (0.0, 1.0) for y in (-1.0, 0.0, 1.0)
+                          for z in (0.1, 0.3)]
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -362,6 +406,12 @@ class TestCompare:
         _, _, err = run_cli(capsys, "compare", "heisenberg", own, "--points", "[[1,0,0.3]]",
                             "--tol-identity", "1e-8", "--tol-regression", "1e-6")
         assert err == ""
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_second_spec_diagnostic(self, capsys, tmp_path, kind):
+        spec = unreadable_spec(tmp_path, kind)
+        err = diagnostic(capsys, "compare", "heisenberg", spec)
+        assert err.startswith(f"error: {spec}: cannot read (")
 
     def test_holonomic_side_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "heisenberg", "exercise1a")

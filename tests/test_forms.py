@@ -1,6 +1,8 @@
 """Exterior-calculus kernel: brackets, frames, duality, wedge, d."""
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,12 @@ class TestGramSchmidt:
             gram_schmidt(VectorField("x", "0", "0"), VectorField(0, 1, 0),
                          check_points=[ORIGIN])
 
+    def test_undefined_generator_reported(self):
+        # a 1/x component at the origin: undefined there, not degenerate
+        with pytest.raises(DegenerateInput, match="orthonormalisation undefined") as err:
+            gram_schmidt(VectorField("1/x", "0", "0"), D_DY, check_points=[ORIGIN])
+        assert err.value.point == ORIGIN
+
 
 class TestCompleteFrameAndDual:
     def test_heisenberg_third_leg_at_origin(self, heisenberg):
@@ -202,6 +210,11 @@ class TestCompleteFrameAndDual:
     def test_singular_frame_rejected(self):
         F = Frame(D_DX, D_DY, D_DX)
         with pytest.raises(DegenerateInput):
+            F.require_nondegenerate([ORIGIN])
+
+    def test_undefined_frame_rejected(self):
+        F = Frame(VectorField("1/x", 0, 0), D_DY, D_DZ)
+        with pytest.raises(DegenerateInput, match="frame undefined"):
             F.require_nondegenerate([ORIGIN])
 
 
@@ -335,6 +348,11 @@ class TestScalarHelpers:
     def test_component_counts_enforced(self):
         with pytest.raises(TypeError):
             VectorField(parse("1"), parse("2"))  # type: ignore[call-arg]
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_vector_and_form_do_not_combine(self, op):
+        with pytest.raises(TypeError):
+            op(D_DX, DX)
 
     def test_three_form_single_coefficient(self):
         vol = ThreeForm("x")

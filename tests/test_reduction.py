@@ -41,7 +41,7 @@ from cartan_contact.reduction import (
     reduce,
 )
 from cartan_contact import corpus, reduction
-from cartan_contact.scalarfield import as_field
+from cartan_contact.scalarfield import DomainError, as_field
 from helpers import rand_points
 
 ORIGIN = Point(0.0, 0.0, 0.0)
@@ -274,6 +274,16 @@ class TestNormalizeScale:
             normalize_scale(A, check_points=[Point(1.0, 0.0, 0.0)])
 
 
+    def test_contact_degeneracy_where_torsion_undefined(self):
+        # t12 holds the derivative of sqrt(1 + x), undefined at x = -1
+        dist = Distribution(VectorField("1", "0", "-y*sqrt(1+x)"),
+                            VectorField("0", "1", "x"))
+        A = build_adapted(dist, points=())
+        with pytest.raises(ContactDegeneracy) as err:
+            normalize_scale(A, check_points=[Point(-1.0, 0.0, 0.3)])
+        assert isinstance(err.value.__cause__, DomainError)
+
+
 class TestAbsorbTranslations:
     def test_post_state_is_canonical(self, heisenberg, rng):
         _, _, b2, _ = full_pipeline(heisenberg)
@@ -405,6 +415,12 @@ class TestReduce:
         singular = [s for s in rep.samples if s.status == "singular"]
         assert all(s.point.x == -1.0 for s in singular)
         assert all(s.M is None for s in singular)
+
+    def test_no_ok_point_has_no_m_range(self):
+        dist = Distribution(VectorField("1", "0", "-y*sqrt(1+x)"),
+                            VectorField("0", "1", "x"))
+        rep = reduce(dist, [Point(-1.0, 0.0, 0.3), Point(-1.0, 0.5, 0.3)])
+        assert rep.n_ok == 0 and rep.m_range() is None
 
     def test_sample_records_carry_diagnostics(self, heisenberg, grid):
         rep = reduce(heisenberg, grid)
@@ -612,3 +628,16 @@ class TestCompare:
         cartan_like = Distribution(VectorField("1", "0", "-y"), VectorField("0", "1", "0"))
         result = compare(heisenberg, cartan_like, axis_points)
         assert result.verdict == "distinguished"
+
+
+class TestPackage:
+    def test_every_public_name_is_reexported(self):
+        import cartan_contact
+        from cartan_contact import forms, scalarfield
+        for module in (scalarfield, forms, reduction):
+            for name in module.__all__:
+                assert getattr(cartan_contact, name) is getattr(module, name), name
+
+    def test_unknown_builtin(self):
+        with pytest.raises(KeyError, match="unknown builtin 'nope'; available: heisenberg"):
+            corpus.get("nope")

@@ -11,6 +11,7 @@ from cartan_contact.scalarfield import (
     DomainError,
     ExpressionSyntaxError,
     Point,
+    ScalarField,
     UnknownIdentifier,
     as_field,
     differentiate,
@@ -133,7 +134,7 @@ class TestParse:
 
     @pytest.mark.parametrize("text", [
         "1e308 + 1e308", "1e308*10 - y", "1e308*10 - 1e308*10", "-1e308 - 1e308",
-        "1e308/1e-308", "-(1e308*10)", "sqrt(1e308*10)",
+        "1e308/1e-308", "-(1e308*10)", "sqrt(1e308*10)", "1/0",
     ])
     def test_folding_stays_finite(self, text):
         # a fold that would leave the finite floats keeps its node instead
@@ -160,6 +161,7 @@ class TestParse:
         ("(x))", "unexpected trailing input ')'", 3),
         ("x * )", "unexpected token ')'", 4),
         ("-(", "unexpected end of input", 2),
+        ("1e999", "bad numeric literal '1e999'", 0),
     ])
     def test_error_messages_and_offsets(self, text, message, offset):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -210,7 +212,7 @@ class TestEvaluate:
         for p in rand_points(rng, 5):
             memo = {}
             assert [g.evaluate(p, memo) for g in fields] == [g.evaluate(p) for g in fields]
-            assert id(f) in memo
+            assert f in memo
 
     @pytest.mark.parametrize("text, point", [
         ("1/x + 1/y", ORIGIN),
@@ -232,7 +234,7 @@ class TestEvaluate:
             with pytest.raises(DomainError) as err:
                 failing.evaluate(p, memo)
             assert err.value.where == "1/y"
-            assert id(fields[3]) in memo and id(failing) not in memo
+            assert fields[3] in memo and failing not in memo
             # the memo holds completed nodes only, each with its own value
             stack, seen = [failing], set()
             while stack:
@@ -240,13 +242,40 @@ class TestEvaluate:
                 if id(node) not in seen:
                     seen.add(id(node))
                     stack.extend(node._children)
-                    if id(node) in memo:
-                        assert memo[id(node)] == node.evaluate(p)
+                    if node in memo:
+                        assert memo[node] == node.evaluate(p)
             assert [g.evaluate(p, memo) for g in fields] == [g.evaluate(p) for g in fields]
+
+    def test_memo_keys_nodes_by_identity(self):
+        # evaluate keys its memo by node, so a structural __eq__ or __hash__
+        # on any node class would merge the entries of equal-looking nodes
+        classes = [ScalarField]
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+        f, g = parse("x + 1"), parse("x + 1")
+        memo = {}
+        assert f.evaluate((1, 0, 0), memo) == g.evaluate((1, 0, 0), memo) == 2.0
+        assert f in memo and g in memo and f != g
 
     def test_accepts_point_and_tuple(self):
         f = parse("x + y*z")
         assert f.evaluate(Point(1, 2, 3)) == f.evaluate((1, 2, 3)) == 7.0
+
+    def test_call_is_evaluate(self):
+        f = parse("x - 2*y")
+        assert f((1, 2, 0)) == f.evaluate((1, 2, 0)) == -3.0
+
+    def test_power_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError) as err:
+            parse("x^400").evaluate((10, 0, 0))
+        assert err.value.reason == "overflow" and err.value.where == "x^400"
+
+    def test_point_must_be_three_numbers(self):
+        with pytest.raises(ValueError):
+            Point("a", 0, 0)
+        with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+            parse("x").evaluate((1, 2))
 
     def test_point_requires_finite_coordinates(self):
         with pytest.raises(ValueError):
@@ -277,6 +306,14 @@ class TestDifferentiate:
     def test_alias_and_index_forms(self):
         f = parse("x*y^2")
         assert f.diff("x2").evaluate((1, 3, 0)) == f.diff(1).evaluate((1, 3, 0)) == 6.0
+
+    @pytest.mark.parametrize("var, message", [
+        (3, "coordinate index out of range: 3"),
+        ("w", "unknown coordinate 'w'"),
+    ])
+    def test_unknown_coordinate_refused(self, var, message):
+        with pytest.raises(ValueError, match=message):
+            parse("x*y").diff(var)
 
     def test_quotient_rule(self, rng):
         f = parse("x/(2+y^2)")
@@ -389,6 +426,12 @@ class TestSimplification:
         assert (x * 1).to_text() == "x"
         assert (x * 0).to_text() == "0"
         assert (0 + x).to_text() == "x"
+
+    def test_reflected_operators(self):
+        x = parse("x")
+        assert (1 - x).to_text() == "1 - x"
+        assert (2 / x).to_text() == "2/x"
+        assert (1 - x).evaluate((4, 0, 0)) == -3.0 and (2 / x).evaluate((4, 0, 0)) == 0.5
 
     def test_constants_fold(self):
         assert parse("2*3 + 4").to_text() == "10"
