@@ -36,9 +36,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .forms import DegenerateInput, VectorField
+from .forms import VectorField
 from .reduction import (
     ConsistencyError,
+    DegenerateInput,
     Distribution,
     HolonomicError,
     InvariantReport,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalarfield import DomainError, ScalarField, as_field, sqrt
+from .scalarfield import ScalarField, as_field, sqrt
 
 __all__ = [
     "VectorField",
@@ -28,7 +28,6 @@ __all__ = [
     "ThreeForm",
     "Frame",
     "Coframe",
-    "DegenerateInput",
     "commutator",
     "dot",
     "norm",
@@ -47,20 +46,6 @@ __all__ = [
 ]
 
 _AXES = ("x", "y", "z")
-
-# relative threshold of degeneracy, here and in reduction.classify: an area,
-# normaliser or determinant at or below this times its scale counts as vanished
-_DEGENERACY_RTOL = 1e-9
-
-
-class DegenerateInput(ValueError):
-    """A frame, coframe or orthonormalisation degenerated at an evaluated point."""
-
-    def __init__(self, message: str, point=None) -> None:
-        if point is not None:
-            message = f"{message} at point {tuple(point)}"
-        super().__init__(message)
-        self.point = point
 
 
 class _Triple:
@@ -179,33 +164,17 @@ def commutator(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(*out)
 
 
-def gram_schmidt(X1: VectorField, X2: VectorField, check_points=None):
+def gram_schmidt(X1: VectorField, X2: VectorField):
     """Orthonormalise (X1, X2) under the ambient Euclidean product.
 
     Returns (e1, e2) with e1 = X1/|X1| and e2 the normalised component of X2
-    orthogonal to e1; spans and in-plane orientation are preserved.  Raises
-    :class:`DegenerateInput` at any of ``check_points`` where a
-    normalisation denominator vanishes.
+    orthogonal to e1; spans and in-plane orientation are preserved.  Nothing
+    is verified here: :func:`~cartan_contact.reduction.classify` rejects
+    points where the generators are dependent.
     """
-    n1 = norm(X1)
-    e1 = X1 / n1
+    e1 = X1 / norm(X1)
     u2 = X2 - dot(X2, e1) * e1
-    n2 = norm(u2)
-    e2 = u2 / n2
-    if check_points:
-        scale2 = norm(X2)
-        for p in check_points:
-            try:
-                d1 = n1.evaluate(p)
-                d2 = n2.evaluate(p)
-                s2 = scale2.evaluate(p)
-            except DomainError:
-                raise DegenerateInput("orthonormalisation undefined", p) from None
-            if d1 <= 0.0:
-                raise DegenerateInput("first generator vanishes", p)
-            if d2 <= _DEGENERACY_RTOL * s2:
-                raise DegenerateInput("generators are linearly dependent", p)
-    return e1, e2
+    return e1, u2 / norm(u2)
 
 
 @dataclass(frozen=True)
@@ -226,19 +195,6 @@ class Frame:
     def at(self, point):
         return tuple(e.at(point) for e in self.fields)
 
-    def require_nondegenerate(self, points) -> None:
-        """Raise :class:`DegenerateInput` where the component matrix is singular."""
-        det = self.determinant()
-        scale = norm(self.e1) * norm(self.e2) * norm(self.e3)
-        for p in points:
-            try:
-                d = det.evaluate(p)
-                s = scale.evaluate(p)
-            except DomainError:
-                raise DegenerateInput("frame undefined", p) from None
-            if abs(d) <= _DEGENERACY_RTOL * s:
-                raise DegenerateInput("frame is degenerate", p)
-
 
 @dataclass(frozen=True)
 class Coframe:
@@ -256,25 +212,22 @@ class Coframe:
         return tuple(f.at(point) for f in self.forms)
 
 
-def complete_frame(e1: VectorField, e2: VectorField, check_points=None) -> Frame:
+def complete_frame(e1: VectorField, e2: VectorField) -> Frame:
     """Complete an orthonormal pair to a frame with e3 = [e1, e2].
 
-    The commutator sign is exactly e3 = +[e1, e2].  The frame determinant is
-    checked at ``check_points`` and :class:`DegenerateInput` raised where it
-    vanishes (the holonomic locus).
+    The commutator sign is exactly e3 = +[e1, e2]; the frame degenerates
+    where the pair's span is holonomic.
     """
-    frame = Frame(e1, e2, commutator(e1, e2))
-    if check_points:
-        frame.require_nondegenerate(check_points)
-    return frame
+    return Frame(e1, e2, commutator(e1, e2))
 
 
 def dual_coframe(F: Frame) -> Coframe:
     """Coframe (eta^1, eta^2, eta^3) with eta^i(e_j) = delta^i_j.
 
     Computed symbolically as eta^i = (e_j x e_k) / det for (i, j, k) cyclic,
-    det = e1 . (e2 x e3).  No pivoting; conditioning is handled by per-point
-    domain checks, or beforehand by :meth:`Frame.require_nondegenerate`.
+    det = e1 . (e2 x e3).  No pivoting and no check: the coframe is undefined
+    where det vanishes, and :func:`~cartan_contact.reduction.classify` is
+    where a distribution's degeneracy is decided.
     """
     e1, e2, e3 = F.fields
     eta1 = _cross(e2, e3, OneForm)

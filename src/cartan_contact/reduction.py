@@ -28,9 +28,7 @@ from dataclasses import dataclass, replace
 
 from .scalarfield import DomainError, Point, ScalarField
 from .forms import (
-    _DEGENERACY_RTOL,
     Coframe,
-    DegenerateInput,
     Frame,
     VectorField,
     commutator,
@@ -56,7 +54,7 @@ __all__ = [
     "ComparisonResult",
     "HolonomicError",
     "MixedTypeError",
-    "ContactDegeneracy",
+    "DegenerateInput",
     "ConsistencyError",
     "classify",
     "build_adapted",
@@ -71,9 +69,11 @@ __all__ = [
     "grid_axis",
 ]
 
-# per-point thresholds of the sampling policy in reduce
+# relative threshold of classify: an area or det3 at or below this times its
+# scale counts as vanished
+_DEGENERACY_RTOL = 1e-9
+# per-point threshold of the sampling policy in reduce
 POINT_HOLONOMIC_RTOL = 1e-8
-CONTACT_TOL = 1e-8
 # residual tolerances; CONSISTENCY_TOL is relative to max(1, |a1|, |a2|)
 IDENTITY_TOL = 1e-8
 CONSISTENCY_TOL = 1e-6
@@ -97,13 +97,14 @@ class MixedTypeError(ValueError):
         self.classification = classification
 
 
-class ContactDegeneracy(ValueError):
-    """The contact torsion coefficient is too close to zero to rescale."""
+class DegenerateInput(ValueError):
+    """The generators are dependent at a sampled point, or undefined at all of them."""
 
-    def __init__(self, point, value) -> None:
-        super().__init__(f"contact torsion {value:.3e} vanishes at point {tuple(point)}")
+    def __init__(self, message: str, point=None) -> None:
+        if point is not None:
+            message = f"{message} at point {tuple(point)}"
+        super().__init__(message)
         self.point = point
-        self.value = value
 
 
 class ConsistencyError(AssertionError):
@@ -255,7 +256,9 @@ def classify(D: Distribution, points) -> Classification:
     """Per-point holonomicity of span{X1, X2} from det(X1, X2, [X1, X2]).
 
     A point is holonomic when |det3| <= 1e-9 * |X1| |X2| |[X1, X2]|.  Raises
-    :class:`DegenerateInput` where the generators are linearly dependent.
+    :class:`DegenerateInput` where the generators are linearly dependent, or
+    when they are undefined at every point.  This is the library's only
+    per-point degeneracy check; the stage builders only construct.
     """
     points = list(points)
     if not points:
@@ -296,18 +299,24 @@ def classify(D: Distribution, points) -> Classification:
     return Classification(kind, tuple(records))
 
 
-def adapted_from_orthonormal(e1: VectorField, e2: VectorField, points) -> AdaptedCoframe:
+def _require_contact(D: Distribution, points) -> Classification:
+    """:func:`classify` the points; raise unless the kind is contact."""
+    points = [p if isinstance(p, Point) else Point(*p) for p in points]
+    cls = classify(D, points)
+    if cls.kind == "holonomic":
+        raise HolonomicError(cls)
+    if cls.kind == "mixed":
+        raise MixedTypeError(cls)
+    return cls
+
+
+def adapted_from_orthonormal(e1: VectorField, e2: VectorField) -> AdaptedCoframe:
     """Stage-B0 coframe for an already orthonormal spanning pair.
 
-    The frame is (e1, e2, [e1, e2]) and the coframe its dual; the frame is
-    verified at ``points`` as in :func:`build_adapted`.
+    The frame is (e1, e2, [e1, e2]) and the coframe its dual.  Nothing is
+    verified; the frame degenerates where the span is holonomic.
     """
-    try:
-        frame = complete_frame(e1, e2, check_points=points)
-    except DegenerateInput as exc:
-        raise HolonomicError(
-            message=f"holonomic distribution: frame degenerates ({exc})"
-        ) from exc
+    frame = complete_frame(e1, e2)
     return AdaptedCoframe(dual_coframe(frame), frame, "B0")
 
 
@@ -315,15 +324,17 @@ def build_adapted(D: Distribution, points) -> AdaptedCoframe:
     """Adapted stage-B0 coframe of a contact distribution.
 
     Orthonormalises the generators, completes the frame with e3 = [e1, e2]
-    and inverts symbolically for the dual coframe.  Nondegeneracy is
-    verified at ``points``, for instance :func:`default_grid_points`; an
-    empty sequence verifies nowhere (:func:`reduce` applies its own
-    per-point policy instead).  Raises :class:`HolonomicError` when the
-    frame degenerates at a verification point.
+    and inverts symbolically for the dual coframe.  Nonempty ``points``, for
+    instance :func:`default_grid_points`, are first classified as
+    :func:`reduce` classifies them, with the same errors:
+    :class:`DegenerateInput`, :class:`HolonomicError` or
+    :class:`MixedTypeError`.  An empty sequence verifies nowhere.
     """
-    points = tuple(points)  # read twice: a one-shot iterator would verify once
-    e1, e2 = gram_schmidt(D.X1, D.X2, check_points=points)
-    return adapted_from_orthonormal(e1, e2, points)
+    points = list(points)   # an iterator is truthy even when empty
+    if points:
+        _require_contact(D, points)
+    e1, e2 = gram_schmidt(D.X1, D.X2)
+    return adapted_from_orthonormal(e1, e2)
 
 
 def contact_torsion(A: AdaptedCoframe) -> TorsionSlice:
@@ -332,7 +343,7 @@ def contact_torsion(A: AdaptedCoframe) -> TorsionSlice:
     return TorsionSlice(*rows[2])
 
 
-def normalize_scale(A: AdaptedCoframe, check_points=None) -> AdaptedCoframe:
+def normalize_scale(A: AdaptedCoframe) -> AdaptedCoframe:
     """Rescale eta^3 by its own torsion so that c3_12 becomes exactly 1.
 
     Applies the structure-group element with rotation identity, zero
@@ -341,19 +352,12 @@ def normalize_scale(A: AdaptedCoframe, check_points=None) -> AdaptedCoframe:
     nonzero scale); it flips the coframe orientation and leaves M unchanged.
     Works on any stage-B0 section; on the one :func:`build_adapted` returns,
     t12 = -1 identically, and :func:`reduce` applies that scale exactly
-    instead of dividing by the symbolic t12.
+    instead of dividing by the symbolic t12.  Nothing is verified: the B1
+    section is undefined where t12 vanishes.
     """
     if A.stage != "B0":
         raise ValueError(f"normalize_scale expects stage B0, got {A.stage}")
     t12 = contact_torsion(A).t12
-    if check_points is not None:
-        for p in check_points:
-            try:
-                v = t12.evaluate(p)
-            except DomainError as exc:
-                raise ContactDegeneracy(p, 0.0) from exc
-            if abs(v) < CONTACT_TOL:
-                raise ContactDegeneracy(p, v)
     eta1, eta2, eta3 = A.coframe.forms
     e1, e2, e3 = A.frame.fields
     return AdaptedCoframe(Coframe(eta1, eta2, eta3 / t12), Frame(e1, e2, e3 * t12), "B1")
@@ -430,13 +434,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     -1.  A q1 - p2 residual beyond 1e-6 max(1, |a1|, |a2|) at an otherwise
     healthy point raises :class:`ConsistencyError`: the identity is exact.
     """
-    points = [p if isinstance(p, Point) else Point(*p) for p in points]
-    cls = classify(D, points)
-    if cls.kind == "holonomic":
-        raise HolonomicError(cls)
-    if cls.kind == "mixed":
-        raise MixedTypeError(cls)
-
+    cls = _require_contact(D, points)
     b0 = build_adapted(D, points=())
     t12_b0 = contact_torsion(b0).t12
     eta1, eta2, eta3 = b0.coframe.forms

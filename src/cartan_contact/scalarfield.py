@@ -92,10 +92,10 @@ class Point:
     def __post_init__(self) -> None:
         for c in (self.x, self.y, self.z):
             try:
-                ok = math.isfinite(c)
+                finite = math.isfinite(c)
             except TypeError:
-                ok = False
-            if not ok:
+                raise ValueError(f"point coordinates must be numbers, got {c!r}") from None
+            if not finite:
                 raise ValueError(f"point coordinates must be finite, got {c!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:

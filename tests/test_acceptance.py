@@ -294,7 +294,7 @@ def test_criterion_7_invariance_suite(heisenberg, heisenberg_report):
     e1, e2 = gram_schmidt(heisenberg.X1, heisenberg.X2)
     for theta in (0.7, 2.1):
         c, s = math.cos(theta), math.sin(theta)
-        A = adapted_from_orthonormal(c * e1 + s * e2, (-s) * e1 + c * e2, points=())
+        A = adapted_from_orthonormal(c * e1 + s * e2, (-s) * e1 + c * e2)
         inv = extract_invariants(absorb_translations(normalize_scale(A)))
         for point, want in base.items():
             rel = abs(inv.M.evaluate(point) - want) / max(1.0, abs(want))

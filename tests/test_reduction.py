@@ -10,7 +10,6 @@ import pytest
 
 from cartan_contact.forms import (
     Coframe,
-    DegenerateInput,
     Frame,
     OneForm,
     VectorField,
@@ -23,7 +22,7 @@ from cartan_contact.forms import (
 from cartan_contact.reduction import (
     AdaptedCoframe,
     ConsistencyError,
-    ContactDegeneracy,
+    DegenerateInput,
     Distribution,
     HolonomicError,
     MixedTypeError,
@@ -41,7 +40,7 @@ from cartan_contact.reduction import (
     reduce,
 )
 from cartan_contact import corpus, reduction
-from cartan_contact.scalarfield import DomainError, as_field
+from cartan_contact.scalarfield import as_field
 from helpers import rand_points
 
 ORIGIN = Point(0.0, 0.0, 0.0)
@@ -169,9 +168,34 @@ class TestBuildAdapted:
             build_adapted(exercise1a, default_grid_points())
 
     def test_points_iterator_verifies_frame(self, exercise1a):
-        # the Gram-Schmidt pair is fine; only the frame check rejects
-        with pytest.raises(HolonomicError, match="frame degenerates"):
+        # a one-shot iterator is classified like a list, not taken as empty
+        with pytest.raises(HolonomicError, match="planes integrate"):
             build_adapted(exercise1a, iter(default_grid_points()))
+
+    @pytest.mark.parametrize("case, points, expected", [
+        ("heisenberg", None, None),
+        ("cartan", None, None),
+        ("exercise1a", None, HolonomicError),
+        ("mixed_distribution", None, MixedTypeError),
+        (Distribution(VectorField("1", "x", "0"), VectorField("3", "3*x", "0")),
+         None, DegenerateInput),
+        (Distribution(VectorField("x", "0", "0"), VectorField("0", "1", "0")),
+         [ORIGIN], DegenerateInput),
+        (Distribution(VectorField("1", "0", "-y/sqrt(1+x)"), VectorField("0", "1", "x")),
+         None, None),
+    ], ids=["heisenberg", "cartan", "exercise1a", "mixed", "dependent",
+            "vanishing-first", "undefined-row"])
+    def test_accepts_what_reduce_accepts(self, case, points, expected, request):
+        dist = request.getfixturevalue(case) if isinstance(case, str) else case
+        points = default_grid_points() if points is None else points
+        outcomes = []
+        for run in (build_adapted, reduce):
+            try:
+                run(dist, points)
+                outcomes.append(None)
+            except Exception as exc:
+                outcomes.append(type(exc))
+        assert outcomes == [expected, expected]
 
     def test_duality_after_build(self, cartan, rng):
         A = build_adapted(cartan, points=())
@@ -259,29 +283,6 @@ class TestNormalizeScale:
         B = normalize_scale(A)
         with pytest.raises(ValueError):
             normalize_scale(B)
-
-    def test_contact_degeneracy_on_holonomic_locus(self, mixed_distribution):
-        A = build_adapted(mixed_distribution, points=())
-        with pytest.raises(ContactDegeneracy):
-            normalize_scale(A, check_points=[Point(-0.5, 0.0, 0.0)])
-
-    def test_contact_degeneracy_on_tiny_torsion(self):
-        coframe = Coframe(OneForm(1, 0, 0), OneForm(0, 1, 0), OneForm(0, "1e-9*x", 1))
-        frame = Frame(VectorField(1, 0, 0), VectorField(0, 1, "-1e-9*x"),
-                      VectorField(0, 0, 1))
-        A = AdaptedCoframe(coframe, frame, "B0")
-        with pytest.raises(ContactDegeneracy):
-            normalize_scale(A, check_points=[Point(1.0, 0.0, 0.0)])
-
-
-    def test_contact_degeneracy_where_torsion_undefined(self):
-        # t12 holds the derivative of sqrt(1 + x), undefined at x = -1
-        dist = Distribution(VectorField("1", "0", "-y*sqrt(1+x)"),
-                            VectorField("0", "1", "x"))
-        A = build_adapted(dist, points=())
-        with pytest.raises(ContactDegeneracy) as err:
-            normalize_scale(A, check_points=[Point(-1.0, 0.0, 0.3)])
-        assert isinstance(err.value.__cause__, DomainError)
 
 
 class TestAbsorbTranslations:
@@ -585,7 +586,7 @@ class TestInvariance:
             c, s = math.cos(theta), math.sin(theta)
             r1 = c * e1 + s * e2
             r2 = (-s) * e1 + c * e2
-            A = adapted_from_orthonormal(r1, r2, points=())
+            A = adapted_from_orthonormal(r1, r2)
             inv = extract_invariants(absorb_translations(normalize_scale(A)))
             for point, want in base_m.items():
                 got = inv.M.evaluate(point)

@@ -272,7 +272,7 @@ class TestEvaluate:
         assert err.value.reason == "overflow" and err.value.where == "x^400"
 
     def test_point_must_be_three_numbers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="point coordinates must be numbers, got 'a'"):
             Point("a", 0, 0)
         with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
             parse("x").evaluate((1, 2))
