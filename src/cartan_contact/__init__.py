@@ -9,6 +9,7 @@ induced Euclidean metric.
 from .scalarfield import *
 from .forms import *
 from .reduction import *
+from ._record import replace
 from . import corpus
 
 __version__ = "0.1.0"

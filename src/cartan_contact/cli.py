@@ -32,10 +32,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from . import corpus as corpus_mod
+from ._record import Record
 from .forms import VectorField
 from .reduction import (
     ConsistencyError,
@@ -74,8 +73,7 @@ class CliError(Exception):
     """Input problem: reported as a one-line diagnostic, exit code 1."""
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(Record):
     name: str
     x1: tuple[str, str, str]
     x2: tuple[str, str, str]
@@ -181,7 +179,8 @@ def load_spec(path_or_name: str, args) -> InputSpec:
         raw = {"name": b.name, "fields": {"X1": list(b.x1), "X2": list(b.x2)}}
     else:
         try:
-            text = Path(path_or_name).read_text()
+            with open(path_or_name) as f:
+                text = f.read()
         except FileNotFoundError:
             raise CliError(f"input file not found: {path_or_name}") from None
         except (OSError, UnicodeDecodeError) as exc:

@@ -6,16 +6,15 @@ for regression checks (kept independent of the expression engine).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
+from ._record import Record
 from .reduction import Distribution
 
 __all__ = ["Builtin", "BUILTINS", "names", "get", "distribution"]
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(Record):
     name: str
     x1: tuple[str, str, str]
     x2: tuple[str, str, str]

@@ -17,8 +17,7 @@ checked numerically at sample points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .scalarfield import ScalarField, as_field, sqrt
 
 __all__ = [
@@ -177,8 +176,7 @@ def gram_schmidt(X1: VectorField, X2: VectorField):
     return e1, u2 / norm(u2)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """Ordered triple of vector fields; nondegenerate where det != 0."""
 
     e1: VectorField
@@ -196,8 +194,7 @@ class Frame:
         return tuple(e.at(point) for e in self.fields)
 
 
-@dataclass(frozen=True)
-class Coframe:
+class Coframe(Record):
     """Ordered triple of 1-forms, dual to a frame via the 3x3 pairing."""
 
     eta1: OneForm

@@ -24,8 +24,7 @@ second matrix inversion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from ._record import Record, replace
 from .scalarfield import DomainError, Point, ScalarField
 from .forms import (
     Coframe,
@@ -118,8 +117,7 @@ class ConsistencyError(AssertionError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """A plane field span{X1, X2} with the induced Euclidean scalar product."""
 
     X1: VectorField
@@ -131,22 +129,19 @@ class Distribution:
         return cls(VectorField(*x1), VectorField(*x2), name=name)
 
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(Record):
     point: Point
     status: str            # "contact" | "holonomic" | "undefined"
     det3: float | None     # det(X1, X2, [X1, X2])
     scale: float | None    # |X1| |X2| |[X1, X2]|
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     kind: str              # "holonomic" | "contact" | "mixed"
     records: tuple[PointClassification, ...]
 
 
-@dataclass(frozen=True)
-class AdaptedCoframe:
+class AdaptedCoframe(Record):
     """A coframe section with its dual frame and reduction stage tag.
 
     Stage B0: (eta^1, eta^2) restrict to an orthonormal positively oriented
@@ -159,8 +154,7 @@ class AdaptedCoframe:
     stage: str
 
 
-@dataclass(frozen=True)
-class TorsionSlice:
+class TorsionSlice(Record):
     """The d(eta^3) expansion coefficients (t23, t31, t12) at the current stage."""
 
     t23: ScalarField
@@ -168,8 +162,7 @@ class TorsionSlice:
     t12: ScalarField
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(Record):
     point: Point
     status: str            # "ok" | "singular" | "holonomic-at-point"
     det3: float | None = None
@@ -181,8 +174,7 @@ class SampleRecord:
     q1_minus_p2: float | None = None
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Invariant and pseudoconnection fields plus per-point samples.
 
     a1, a2 individually depend on the residual rotation freedom of the frame;
@@ -219,8 +211,7 @@ class InvariantReport:
         return (min(values), max(values))
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(Record):
     verdict: str           # "distinguished" | "not distinguished by this test"
     report_a: InvariantReport
     report_b: InvariantReport

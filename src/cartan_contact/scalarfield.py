@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "ScalarField",
@@ -81,8 +82,7 @@ class DomainError(ArithmeticError):
         self.where = where
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A point of R^3 with finite coordinates."""
 
     x: float

@@ -1,7 +1,6 @@
 """Command-line interface: formats, exit codes, diagnostics, determinism."""
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -9,7 +8,7 @@ import sys
 
 import pytest
 
-from cartan_contact import corpus, reduction
+from cartan_contact import corpus, reduction, replace
 from cartan_contact.cli import main
 from cartan_contact.reduction import extract_invariants
 from cartan_contact.scalarfield import as_field
@@ -308,7 +307,7 @@ class TestAnalyze:
         assert 1e-6 < abs(record["residuals"]["q1_minus_p2"]) <= 1e-6 * abs(record["a1"])
 
     def test_consistency_error_is_internal_error(self, capsys, monkeypatch):
-        broken = lambda A: dataclasses.replace(extract_invariants(A), q1_minus_p2=as_field(1))
+        broken = lambda A: replace(extract_invariants(A), q1_minus_p2=as_field(1))
         monkeypatch.setattr(reduction, "extract_invariants", broken)
         code, out, err = run_cli(capsys, "analyze", "heisenberg", "--points", "[[1,0,0.3]]")
         assert (code, out, err.count("\n")) == (1, "", 1)
@@ -453,7 +452,7 @@ class TestCorpus:
 
     @staticmethod
     def patch_builtin(monkeypatch, name, **changes):
-        builtin = dataclasses.replace(corpus.BUILTINS[name], **changes)
+        builtin = replace(corpus.BUILTINS[name], **changes)
         monkeypatch.setitem(corpus.BUILTINS, name, builtin)
 
     def test_closed_form_mismatch_fails(self, capsys, monkeypatch):

@@ -1,7 +1,6 @@
 """Reduction pipeline: classification, stages, invariants, comparison."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -39,7 +38,7 @@ from cartan_contact.reduction import (
     normalize_scale,
     reduce,
 )
-from cartan_contact import corpus, reduction
+from cartan_contact import corpus, reduction, replace
 from cartan_contact.scalarfield import as_field
 from helpers import rand_points
 
@@ -453,7 +452,7 @@ class TestReduce:
         assert band.T312 is None and band.M is None
 
     def test_broken_identity_raises_consistency(self, heisenberg, monkeypatch):
-        broken = lambda A: dataclasses.replace(extract_invariants(A), q1_minus_p2=as_field(1))
+        broken = lambda A: replace(extract_invariants(A), q1_minus_p2=as_field(1))
         monkeypatch.setattr(reduction, "extract_invariants", broken)
         with pytest.raises(ConsistencyError):
             reduce(heisenberg, [(1.0, 0.0, 0.3)])
