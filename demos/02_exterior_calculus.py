@@ -37,7 +37,7 @@ print("eta(X1), eta(X2) at (1,2,3):",
       eta(X1)((1, 2, 3)), eta(X2)((1, 2, 3)))
 d_eta = exterior_derivative(eta)
 print("d eta in (dy^dz, dz^dx, dx^dy):", d_eta.at((1, 2, 3)))
-print("d(d eta) =", exterior_derivative2(d_eta).at((1, 2, 3)))
+print("d(d eta) =", exterior_derivative2(d_eta)((1, 2, 3)))
 
 ##############################################################################
 # Orthonormalise the generators (ambient Euclidean product), complete the

@@ -20,7 +20,6 @@ class Builtin(Record):
     x2: tuple[str, str, str]
     expected_kind: str                                  # "contact" | "holonomic"
     m_closed: Callable[[float, float, float], float] | None
-    m_closed_text: str | None
 
 
 def _m_heisenberg(x: float, y: float, z: float) -> float:
@@ -41,7 +40,6 @@ BUILTINS: dict[str, Builtin] = {
             x2=("0", "1", "x"),
             expected_kind="contact",
             m_closed=_m_heisenberg,
-            m_closed_text="9/4*(x^2 + y^2)^2/(1 + x^2 + y^2)^4",
         ),
         Builtin(
             name="cartan",
@@ -49,7 +47,6 @@ BUILTINS: dict[str, Builtin] = {
             x2=("0", "1", "0"),
             expected_kind="contact",
             m_closed=_m_cartan,
-            m_closed_text="1/4*(2*y^2 - 1)^2/(1 + y^2)^4",
         ),
         Builtin(
             name="exercise1a",
@@ -57,7 +54,6 @@ BUILTINS: dict[str, Builtin] = {
             x2=("0", "1", "x"),
             expected_kind="holonomic",
             m_closed=None,
-            m_closed_text=None,
         ),
     )
 }

@@ -6,7 +6,7 @@ coefficients in the coordinate bases:
 * vector fields in (d/dx, d/dy, d/dz),
 * 1-forms in (dx, dy, dz),
 * 2-forms in the cyclic basis (dy^dz, dz^dx, dx^dy),
-* 3-forms as a single multiple of dx^dy^dz.
+* 3-forms as their dx^dy^dz coefficient, a plain ScalarField.
 
 The cyclic order is fixed once, in the cross product ``_cross`` behind the
 determinant, the dual coframe, :func:`wedge` and :func:`apply_two_form`.
@@ -24,7 +24,6 @@ __all__ = [
     "VectorField",
     "OneForm",
     "TwoForm",
-    "ThreeForm",
     "Frame",
     "Coframe",
     "commutator",
@@ -110,21 +109,6 @@ class TwoForm(_Triple):
 
     def __call__(self, X: VectorField, Y: VectorField) -> ScalarField:
         return apply_two_form(self, X, Y)
-
-
-class ThreeForm:
-    """3-form: a single ScalarField multiple of dx^dy^dz."""
-
-    __slots__ = ("coefficient",)
-
-    def __init__(self, coefficient) -> None:
-        self.coefficient = as_field(coefficient)
-
-    def at(self, point) -> float:
-        return self.coefficient.evaluate(point)
-
-    def __repr__(self):
-        return f"ThreeForm({self.coefficient._short_text(limit=32)})"
 
 
 def dot(X: VectorField, Y: VectorField) -> ScalarField:
@@ -249,10 +233,10 @@ def exterior_derivative(omega: OneForm) -> TwoForm:
     )
 
 
-def exterior_derivative2(omega: TwoForm) -> ThreeForm:
-    """d of a 2-form: the single dx^dy^dz coefficient."""
+def exterior_derivative2(omega: TwoForm) -> ScalarField:
+    """d of a 2-form, as its dx^dy^dz coefficient."""
     a, b, c = omega.components
-    return ThreeForm(a.diff("x") + b.diff("y") + c.diff("z"))
+    return a.diff("x") + b.diff("y") + c.diff("z")
 
 
 def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
@@ -260,9 +244,9 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
     return _cross(alpha, beta, TwoForm)
 
 
-def wedge21(omega: TwoForm, alpha: OneForm) -> ThreeForm:
-    """Wedge of a 2-form with a 1-form."""
-    return ThreeForm(dot(omega, alpha))
+def wedge21(omega: TwoForm, alpha: OneForm) -> ScalarField:
+    """Wedge of a 2-form with a 1-form, as its dx^dy^dz coefficient."""
+    return dot(omega, alpha)
 
 
 def apply_two_form(omega: TwoForm, X: VectorField, Y: VectorField) -> ScalarField:

@@ -83,8 +83,8 @@ ZERO_TOL = 1e-9
 class HolonomicError(ValueError):
     """The plane field is holonomic (integrable) on the sampled domain."""
 
-    def __init__(self, classification=None, message=None) -> None:
-        super().__init__(message or "holonomic distribution: the planes integrate to surfaces")
+    def __init__(self, classification=None) -> None:
+        super().__init__("holonomic distribution: the planes integrate to surfaces")
         self.classification = classification
 
 
@@ -392,7 +392,7 @@ def extract_invariants(A: AdaptedCoframe) -> InvariantReport:
     a1 = (p1 - q2) / 2
     a2 = q1
     m = a1 * a1 + a2 * a2
-    dd = exterior_derivative2(exterior_derivative(A.coframe.eta3)).coefficient
+    dd = exterior_derivative2(exterior_derivative(A.coframe.eta3))
     return InvariantReport(
         a1=a1,
         a2=a2,

@@ -24,7 +24,6 @@ nesting need recursion.
 from __future__ import annotations
 
 import math
-import operator
 
 from ._record import Record
 
@@ -48,7 +47,7 @@ _COORD_NAMES = ("x", "y", "z")
 _COORD_INDEX = {"x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
 _FUNCTIONS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
 
-# printing precedence levels
+# precedence levels, shared by the printer and the parser's binding powers
 _P_ADD, _P_MUL, _P_UNARY, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
 
 
@@ -565,18 +564,19 @@ def _is_const(f, v):
     return type(f) is Const and f.value == v
 
 
-def _fold(op, node, *kids):
-    """``node(*kids)``, or the Const of ``op`` on the kids' values when every
-    kid is a Const and that value is a finite float.  Where ``op`` raises or
-    overflows, the node is kept and evaluation reports the domain error."""
+def _fold(node):
+    """``node``, or the Const of its own ``_eval`` on its children's values
+    when every child is a Const and that value is finite.  Where ``_eval``
+    raises :class:`DomainError`, the node is kept and evaluation reports it."""
+    kids = node._children
     for k in kids:
         if type(k) is not Const:
-            return node(*kids)
+            return node
     try:
-        value = op(*(k.value for k in kids))
-    except (ArithmeticError, ValueError):
-        return node(*kids)
-    return Const(value) if math.isfinite(value) else node(*kids)
+        value = node._eval(tuple(k.value for k in kids), None)
+    except DomainError:
+        return node
+    return Const(value) if math.isfinite(value) else node
 
 
 def _add(a, b):
@@ -585,7 +585,7 @@ def _add(a, b):
         return a
     if _is_const(a, 0.0):
         return b
-    return _fold(operator.add, Add, a, b)
+    return _fold(Add(a, b))
 
 
 def _sub(a, b):
@@ -593,7 +593,7 @@ def _sub(a, b):
         return a
     if _is_const(a, 0.0):
         return _neg(b)
-    return _fold(operator.sub, Sub, a, b)
+    return _fold(Sub(a, b))
 
 
 def _mul(a, b):
@@ -603,7 +603,7 @@ def _mul(a, b):
         return b
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return _ZERO
-    return _fold(operator.mul, Mul, a, b)
+    return _fold(Mul(a, b))
 
 
 def _div(a, b):
@@ -611,13 +611,13 @@ def _div(a, b):
         return a
     if _is_const(a, 0.0):
         return _ZERO
-    return _fold(operator.truediv, Div, a, b)
+    return _fold(Div(a, b))
 
 
 def _neg(a):
     if type(a) is Neg:
         return a._children[0]
-    return _fold(operator.neg, Neg, a)
+    return _fold(Neg(a))
 
 
 def _pow(base, n: int):
@@ -625,11 +625,11 @@ def _pow(base, n: int):
         return _ONE
     if n == 1:
         return base
-    return _fold(lambda v: v ** n, lambda b: Pow(b, n), base)
+    return _fold(Pow(base, n))
 
 
 def _call(fn, arg):
-    return _fold(_FUNCTIONS[fn], lambda u: Call(fn, u), arg)
+    return _fold(Call(fn, arg))
 
 
 def _coerce(v) -> "ScalarField | None":
@@ -741,8 +741,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # binding powers of pending operators; open groups and calls have 0
-_BINARY = {"+": (1, _add), "-": (1, _sub), "*": (2, _mul), "/": (2, _div)}
-_NEG, _POW = 3, 4
+_BINARY = {"+": (_P_ADD, _add), "-": (_P_ADD, _sub), "*": (_P_MUL, _mul), "/": (_P_MUL, _div)}
+_NEG, _POW = _P_UNARY, _P_POW
 
 
 def _parse_tokens(text: str, tokens: list[_Token]) -> ScalarField:
@@ -795,7 +795,7 @@ def _parse_tokens(text: str, tokens: list[_Token]) -> ScalarField:
                 ops.append((_POW, tokens[i]))
                 break
             binary = _BINARY.get(tok.value)
-            floor = binary[0] if binary else 1
+            floor = binary[0] if binary else _P_ADD
             while ops and ops[-1][0] >= floor:
                 power, detail = ops.pop()
                 if power == _POW:

@@ -215,7 +215,7 @@ def test_criterion_6_property_suite(stages):
     for name in ("heisenberg", "cartan"):
         for stage in stages[name]:
             for eta in stage.coframe.forms:
-                dd = exterior_derivative2(exterior_derivative(eta)).coefficient
+                dd = exterior_derivative2(exterior_derivative(eta))
                 for p in sample:
                     worst_dd = max(worst_dd, abs(dd.evaluate(p)))
     assert worst_dd <= 1e-8, f"d o d residual {worst_dd:.2e}"

@@ -226,7 +226,7 @@ class TestContactTorsion:
         lhs = wedge21(d3, A.coframe.eta3)
         vol = wedge21(wedge(A.coframe.eta1, A.coframe.eta2), A.coframe.eta3)
         for p in rand_points(rng, 6):
-            assert lhs.at(p) == pytest.approx(t12.evaluate(p) * vol.at(p), rel=1e-9)
+            assert lhs(p) == pytest.approx(t12.evaluate(p) * vol(p), rel=1e-9)
 
     def test_closed_coframe_has_zero_torsion(self):
         A = AdaptedCoframe(
@@ -590,6 +590,48 @@ class TestInvariance:
             for point, want in base_m.items():
                 got = inv.M.evaluate(point)
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+    THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
+
+    @staticmethod
+    def assert_same_m(got, want):
+        assert [s.status for s in got.samples] == ["ok"] * len(got.samples)
+        assert [s.status for s in want.samples] == ["ok"] * len(want.samples)
+        for s, w in zip(got.samples, want.samples):
+            assert abs(s.M - w.M) <= 1e-12 * max(1.0, abs(w.M)), (s.point, w.point)
+
+    def test_point_dependent_respan_invariance(self, heisenberg):
+        f, g, h, k = (as_field(t) for t in ("1 + 0.3*x*y", "0.2*z", "-0.1*x^2", "1 - 0.2*y"))
+        X1, X2 = heisenberg.X1, heisenberg.X2
+        respanned = Distribution(f * X1 + g * X2, h * X1 + k * X2, name="respan-pd")
+        self.assert_same_m(reduce(respanned, self.THREE_POINTS),
+                           reduce(heisenberg, self.THREE_POINTS))
+
+    def test_rigid_motion_invariance(self, heisenberg):
+        # phi(p) = R p + s pushes X forward to X'(q) = R X(R^T (q - s)), so
+        # M' at phi(p) equals M at p
+        # Rodrigues: R = I + sin(t) K + (1 - cos(t)) K^2, K the cross-product
+        # matrix of the unit axis along (1, 2, 3), t = 0.7
+        n = math.sqrt(14.0)
+        k1, k2, k3 = 1 / n, 2 / n, 3 / n
+        K = ((0.0, -k3, k2), (k3, 0.0, -k1), (-k2, k1, 0.0))
+        sin, cos = math.sin(0.7), math.cos(0.7)
+        R = [[(i == j) + sin * K[i][j] + (1 - cos) * sum(K[i][m] * K[m][j] for m in range(3))
+              for j in range(3)] for i in range(3)]
+        shift = (0.2, -0.1, 0.4)
+        q = [as_field(c) for c in "xyz"]
+        u = [sum((R[i][j] * (q[i] - shift[i]) for i in range(3)), as_field(0)) for j in range(3)]
+        # heisenberg's generators (1, 0, -y) and (0, 1, x), at u = R^T (q - s)
+        X1, X2 = (1, 0, -u[1]), (0, 1, u[0])
+
+        def push(X):
+            return VectorField(*(sum((R[i][j] * X[j] for j in range(3)), as_field(0))
+                                 for i in range(3)))
+
+        moved = Distribution(push(X1), push(X2), name="motion")
+        images = [Point(*(sum(R[i][j] * c for j, c in enumerate(p)) + shift[i] for i in range(3)))
+                  for p in self.THREE_POINTS]
+        self.assert_same_m(reduce(moved, images), reduce(heisenberg, self.THREE_POINTS))
 
 
 class TestCompare:

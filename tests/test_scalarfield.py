@@ -24,6 +24,23 @@ from helpers import fd_partial, rand_points, rand_smooth_field
 ORIGIN = (0.0, 0.0, 0.0)
 
 
+# each text's fold would leave the finite floats, and the failure it meets
+UNFOLDABLE = [
+    ("1e308 + 1e308", "non-finite result"),
+    ("1e308*10 - y", "non-finite result"),
+    ("1e308*10 - 1e308*10", "non-finite result"),
+    ("-1e308 - 1e308", "non-finite result"),
+    ("1e308/1e-308", "non-finite result"),
+    ("-(1e308*10)", "non-finite result"),
+    ("sqrt(1e308*10)", "non-finite result"),
+    ("1/0", "division by zero"),
+    ("sqrt(-1)", "square root of a negative number"),
+    ("0^-1", "zero raised to a negative power"),
+    ("exp(1000)", "overflow"),
+    ("1e200^2", "overflow"),
+]
+
+
 class TestParse:
     def test_literal_reading(self):
         assert parse("-y").evaluate((0, 1, 0)) == -1.0
@@ -132,16 +149,16 @@ class TestParse:
         assert parse("sqrt(" * 1000 + "x" + ")" * 1000).diff("x").evaluate(
             (1.0, 0.0, 0.0)) == 2.0 ** -1000
 
-    @pytest.mark.parametrize("text", [
-        "1e308 + 1e308", "1e308*10 - y", "1e308*10 - 1e308*10", "-1e308 - 1e308",
-        "1e308/1e-308", "-(1e308*10)", "sqrt(1e308*10)", "1/0",
-    ])
-    def test_folding_stays_finite(self, text):
-        # a fold that would leave the finite floats keeps its node instead
+    @pytest.mark.parametrize("text, reason", UNFOLDABLE,
+                             ids=[text for text, _ in UNFOLDABLE])
+    def test_folding_stays_finite(self, text, reason):
+        # a fold that would leave the finite floats keeps its node instead,
+        # and evaluating it reports the failure the fold met
         f = parse(text)
         assert parse(f.to_text()).to_text() == f.to_text()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as failure:
             f.evaluate(ORIGIN)
+        assert failure.value.reason == reason
 
     def test_non_finite_constant_refused(self):
         # no expression text spells inf or nan, so no field holds one
