@@ -25,7 +25,7 @@ second matrix inversion.
 from __future__ import annotations
 
 from ._record import Record, replace
-from .scalarfield import DomainError, Point, ScalarField
+from .scalarfield import DomainError, Point, ScalarField, _interning
 from .forms import (
     Coframe,
     Frame,
@@ -319,18 +319,24 @@ def build_adapted(D: Distribution, points) -> AdaptedCoframe:
     instance :func:`default_grid_points`, are first classified as
     :func:`reduce` classifies them, with the same errors:
     :class:`DegenerateInput`, :class:`HolonomicError` or
-    :class:`MixedTypeError`.  An empty sequence verifies nowhere.
+    :class:`MixedTypeError`.  An empty sequence verifies nowhere.  Builds in
+    the open intern table, or in one of its own when none is open.
     """
     points = list(points)   # an iterator is truthy even when empty
-    if points:
-        _require_contact(D, points)
-    e1, e2 = gram_schmidt(D.X1, D.X2)
-    return adapted_from_orthonormal(e1, e2)
+    with _interning():
+        if points:
+            _require_contact(D, points)
+        e1, e2 = gram_schmidt(D.X1, D.X2)
+        return adapted_from_orthonormal(e1, e2)
 
 
 def contact_torsion(A: AdaptedCoframe) -> TorsionSlice:
-    """Row 3 of the structure coefficients: the d(eta^3) expansion."""
-    rows = structure_coefficients(A.coframe, A.frame)
+    """Row 3 of the structure coefficients: the d(eta^3) expansion.
+
+    Builds in the open intern table, or in one of its own when none is open.
+    """
+    with _interning():
+        rows = structure_coefficients(A.coframe, A.frame)
     return TorsionSlice(*rows[2])
 
 
@@ -411,8 +417,9 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     The symbolic pipeline is built once: the stage-B0 section of
     :func:`build_adapted`, the exact scale -1 to stage B1 (its t12 is -1 by
     duality, see the module docstring), then :func:`absorb_translations` and
-    :func:`extract_invariants`.  The symbolic B0 t12 is still evaluated at
-    each point and reported as ``T312``, a free residual for that identity.
+    :func:`extract_invariants`, all in one intern table, so a structure the
+    stages build twice is one node.  The symbolic B0 t12 is still evaluated
+    at each point and reported as ``T312``, a free residual for that identity.
     Each point's outputs are evaluated over one shared memo, so subtrees
     they share are computed once per point.
 
@@ -425,14 +432,15 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     -1.  A q1 - p2 residual beyond 1e-6 max(1, |a1|, |a2|) at an otherwise
     healthy point raises :class:`ConsistencyError`: the identity is exact.
     """
-    cls = _require_contact(D, points)
-    b0 = build_adapted(D, points=())
-    t12_b0 = contact_torsion(b0).t12
-    eta1, eta2, eta3 = b0.coframe.forms
-    e1, e2, e3 = b0.frame.fields
-    b1 = AdaptedCoframe(Coframe(eta1, eta2, -eta3), Frame(e1, e2, -e3), "B1")
-    b2 = absorb_translations(b1)
-    inv = extract_invariants(b2)
+    with _interning():
+        cls = _require_contact(D, points)
+        b0 = build_adapted(D, points=())
+        t12_b0 = contact_torsion(b0).t12
+        eta1, eta2, eta3 = b0.coframe.forms
+        e1, e2, e3 = b0.frame.fields
+        b1 = AdaptedCoframe(Coframe(eta1, eta2, -eta3), Frame(e1, e2, -e3), "B1")
+        b2 = absorb_translations(b1)
+        inv = extract_invariants(b2)
 
     samples = []
     for rec in cls.records:

@@ -12,7 +12,14 @@ neutral-element elimination (``u+0``, ``u*1``, ``u*0``); correctness is
 defined by numeric evaluation, never by canonical form.  Constants are
 finite: a non-finite Python number is refused with ``ValueError``.
 Construction shares subtrees and derivatives are cached per node, so
-repeated differentiation of derived quantities stays cheap.
+repeated differentiation of derived quantities stays cheap.  While an intern
+table is open (``reduction`` opens one around each build), the smart
+constructors are memoised by their operands, in order, so a structure built
+twice is one node (hash-consing, Filliatre & Conchon 2006) and printing and
+evaluation order do not change.  The derivatives of ``sqrt`` and ``exp``
+reuse their value through a twin node made past the table, so no node
+reaches itself through its derivative cache and reference counting alone
+frees a DAG.
 
 Differentiation and evaluation are each one post-order walk over the shared
 nodes: a node's ``_diff`` receives its children's derivatives and its
@@ -131,7 +138,10 @@ class ScalarField:
     derivative cache that :meth:`diff` fills lazily.  Evaluation mutates no
     node, so several threads may evaluate shared nodes; differentiation is
     not guarded by a lock, so differentiate shared nodes from one thread at
-    a time.
+    a time.  The intern table is one per process, opened by the outermost
+    scope and dropped when it ends; any thread may build while it is open,
+    or while another thread opens or drops it, because it only memoises pure
+    constructors: a hit returns a node of the structure a miss would build.
 
     No node class defines ``__eq__`` or ``__hash__``: nodes compare and hash
     by identity, which is what lets :meth:`evaluate` key its memo by node.
@@ -490,13 +500,16 @@ class Call(ScalarField):
     def _diff(self, k, dk):
         u = self._children[0]
         du = dk[0]
-        if self.fn == "sqrt":
-            return _div(du, _mul(_TWO, self))
         if self.fn == "sin":
             return _mul(_call("cos", u), du)
         if self.fn == "cos":
             return _neg(_mul(_call("sin", u), du))
-        return _mul(self, du)  # exp
+        # sqrt and exp reuse their own value through a twin, made past the
+        # intern table: a derivative holding this node would close a cycle
+        twin = Call(self.fn, u)
+        if self.fn == "sqrt":
+            return _div(du, _mul(_TWO, twin))
+        return _mul(twin, du)  # exp
 
     def _eval(self, kids, pt):
         # on finite arguments only sqrt raises ValueError, only exp OverflowError
@@ -560,6 +573,44 @@ def _print(root: ScalarField, depth: int) -> str:
 
 # -- smart constructors: constant folding and neutral elements only ----------
 
+# the open intern table, or None
+_table: dict | None = None
+
+
+class _interning:
+    """``with _interning():`` opens the intern table unless one is open; the
+    block that opened it drops it on exit, also on an exception."""
+
+    __slots__ = ("_opened",)
+
+    def __enter__(self) -> None:
+        global _table
+        self._opened = _table is None
+        if self._opened:
+            _table = {}
+
+    def __exit__(self, *exc) -> None:
+        global _table
+        if self._opened:
+            _table = None
+
+
+def _interned(build):
+    """``build`` memoised in the open intern table.  The key is ``build`` and
+    its arguments themselves, never their ids: a key holds its child nodes,
+    so no id is reused while the table lives.  Operands keep their order."""
+    def constructor(*args):
+        table = _table
+        if table is None:
+            return build(*args)
+        key = (build, *args)
+        node = table.get(key)
+        if node is None:
+            node = table[key] = build(*args)
+        return node
+    return constructor
+
+
 def _is_const(f, v):
     return type(f) is Const and f.value == v
 
@@ -579,6 +630,7 @@ def _fold(node):
     return Const(value) if math.isfinite(value) else node
 
 
+@_interned
 def _add(a, b):
     # neutral elements first: keeps fixed-point transformations identity-stable
     if _is_const(b, 0.0):
@@ -588,6 +640,7 @@ def _add(a, b):
     return _fold(Add(a, b))
 
 
+@_interned
 def _sub(a, b):
     if _is_const(b, 0.0):
         return a
@@ -596,6 +649,7 @@ def _sub(a, b):
     return _fold(Sub(a, b))
 
 
+@_interned
 def _mul(a, b):
     if _is_const(b, 1.0):
         return a
@@ -606,6 +660,7 @@ def _mul(a, b):
     return _fold(Mul(a, b))
 
 
+@_interned
 def _div(a, b):
     if _is_const(b, 1.0):
         return a
@@ -614,12 +669,14 @@ def _div(a, b):
     return _fold(Div(a, b))
 
 
+@_interned
 def _neg(a):
     if type(a) is Neg:
         return a._children[0]
     return _fold(Neg(a))
 
 
+@_interned
 def _pow(base, n: int):
     if n == 0:
         return _ONE
@@ -628,6 +685,7 @@ def _pow(base, n: int):
     return _fold(Pow(base, n))
 
 
+@_interned
 def _call(fn, arg):
     return _fold(Call(fn, arg))
 

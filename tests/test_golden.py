@@ -5,9 +5,15 @@ Each case runs the CLI in process and compares stdout and stderr with
 left out on purpose: its residual digits near 1e-16 depend on the shape of
 the expression DAG, which a correct change may alter; cartan's residuals are
 exactly 0.
+
+``records.txt`` holds the ``SampleRecord`` lines that ``tools/records.py``
+printed when it was recorded; the script's node-count lines are left out,
+since a correct change may lower them.
 """
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +44,11 @@ def test_cli_output_matches_golden(capsys, case, argv, code):
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / f"{case}.out").read_text()
     assert captured.err == (GOLDEN / f"{case}.err").read_text()
+
+
+def test_differential_records_match_golden():
+    script = GOLDEN.parent.parent / "tools" / "records.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         check=True).stdout
+    records = [line for line in out.splitlines() if not line.startswith("nodes ")]
+    assert records == (GOLDEN / "records.txt").read_text().splitlines()

@@ -9,8 +9,11 @@ and heisenberg and cartan on the default grid.  Prints the ``repr`` of every
 ``SampleRecord``, and for each field-batch case the distinct node counts of M
 and of the union of its six outputs (t12, a1, a2, M, dd_eta3, q1_minus_p2).
 Run it in two checkouts and diff the outputs: they are deterministic, so any
-difference is a change in behaviour.  Uses the standard library only; the
-package is imported from ``src/`` and ``bench/cases.py`` is only read.
+difference is a change in behaviour.  ``tests/golden/records.txt`` holds the
+record lines, which Tier-1 and CI diff against this script's output; the
+node-count lines are left out there, since a correct change may lower them.
+Uses the standard library only; the package is imported from ``src/`` and
+``bench/cases.py`` is only read.
 """
 from __future__ import annotations
 
