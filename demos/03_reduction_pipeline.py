@@ -34,7 +34,7 @@ print("det3 at first point:", cls.records[0].det3)
 # coefficient against eta1^eta2 is -1 for any such section: duality forces
 # (d eta3)(e1, e2) = -eta3([e1, e2]) = -1.
 
-b0 = build_adapted(dist, points=())
+b0 = build_adapted(dist)
 t = contact_torsion(b0)
 print("B0 torsion (t23, t31, t12) at (1, 0, 0.3):",
       [round(f.evaluate((1, 0, 0.3)), 12) for f in (t.t23, t.t31, t.t12)])

@@ -180,6 +180,8 @@ class InvariantReport(Record):
     a1, a2 individually depend on the residual rotation freedom of the frame;
     only M = a1^2 + a2^2 is invariant.  A1, A2, A3 are the coefficients of the
     absorbed pseudoconnection alpha = A1 eta^1 + A2 eta^2 + A3 eta^3.
+    T312 is the stage-B0 t12 that :func:`reduce` evaluates into each
+    sample's ``T312``; :func:`extract_invariants` leaves it ``None``.
     """
 
     a1: ScalarField
@@ -192,6 +194,7 @@ class InvariantReport(Record):
     q1_minus_p2: ScalarField
     samples: tuple[SampleRecord, ...] = ()
     classification: Classification | None = None
+    T312: ScalarField | None = None
 
     def ok_samples(self) -> tuple[SampleRecord, ...]:
         return tuple(s for s in self.samples if s.status == "ok")
@@ -290,17 +293,6 @@ def classify(D: Distribution, points) -> Classification:
     return Classification(kind, tuple(records))
 
 
-def _require_contact(D: Distribution, points) -> Classification:
-    """:func:`classify` the points; raise unless the kind is contact."""
-    points = [p if isinstance(p, Point) else Point(*p) for p in points]
-    cls = classify(D, points)
-    if cls.kind == "holonomic":
-        raise HolonomicError(cls)
-    if cls.kind == "mixed":
-        raise MixedTypeError(cls)
-    return cls
-
-
 def adapted_from_orthonormal(e1: VectorField, e2: VectorField) -> AdaptedCoframe:
     """Stage-B0 coframe for an already orthonormal spanning pair.
 
@@ -311,21 +303,17 @@ def adapted_from_orthonormal(e1: VectorField, e2: VectorField) -> AdaptedCoframe
     return AdaptedCoframe(dual_coframe(frame), frame, "B0")
 
 
-def build_adapted(D: Distribution, points) -> AdaptedCoframe:
+def build_adapted(D: Distribution) -> AdaptedCoframe:
     """Adapted stage-B0 coframe of a contact distribution.
 
     Orthonormalises the generators, completes the frame with e3 = [e1, e2]
-    and inverts symbolically for the dual coframe.  Nonempty ``points``, for
-    instance :func:`default_grid_points`, are first classified as
-    :func:`reduce` classifies them, with the same errors:
-    :class:`DegenerateInput`, :class:`HolonomicError` or
-    :class:`MixedTypeError`.  An empty sequence verifies nowhere.  Builds in
-    the open intern table, or in one of its own when none is open.
+    and inverts symbolically for the dual coframe.  Nothing is verified:
+    :func:`classify` the points first, as :func:`reduce` does; the section is
+    undefined where the generators are dependent and degenerates where the
+    span is holonomic.  Builds in the open intern table, or in one of its
+    own when none is open.
     """
-    points = list(points)   # an iterator is truthy even when empty
     with _interning():
-        if points:
-            _require_contact(D, points)
         e1, e2 = gram_schmidt(D.X1, D.X2)
         return adapted_from_orthonormal(e1, e2)
 
@@ -419,11 +407,13 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     duality, see the module docstring), then :func:`absorb_translations` and
     :func:`extract_invariants`, all in one intern table, so a structure the
     stages build twice is one node.  The symbolic B0 t12 is still evaluated
-    at each point and reported as ``T312``, a free residual for that identity.
-    Each point's outputs are evaluated over one shared memo, so subtrees
-    they share are computed once per point.
+    at each point as ``SampleRecord.T312``, a free residual for that
+    identity, and returned as the report's ``T312`` field.  Each point's
+    outputs are evaluated over one shared memo, so subtrees they share are
+    computed once per point.
 
-    Classification failures raise :class:`HolonomicError` or
+    :func:`classify` runs first and is the pipeline's only gate: a holonomic
+    or mixed classification raises :class:`HolonomicError` or
     :class:`MixedTypeError`, with the :class:`Classification` attached;
     individual points where any stage is undefined or where |det3| falls
     below the per-point threshold are marked (statuses ``singular`` and
@@ -433,8 +423,12 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     healthy point raises :class:`ConsistencyError`: the identity is exact.
     """
     with _interning():
-        cls = _require_contact(D, points)
-        b0 = build_adapted(D, points=())
+        cls = classify(D, [p if isinstance(p, Point) else Point(*p) for p in points])
+        if cls.kind == "holonomic":
+            raise HolonomicError(cls)
+        if cls.kind == "mixed":
+            raise MixedTypeError(cls)
+        b0 = build_adapted(D)
         t12_b0 = contact_torsion(b0).t12
         eta1, eta2, eta3 = b0.coframe.forms
         e1, e2, e3 = b0.frame.fields
@@ -466,7 +460,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
         status = "ok" if abs(dd) <= identity_tol and abs(q1p2) <= identity_tol else "singular"
         samples.append(SampleRecord(p, status, det3=det3, T312=t312,
                                     a1=a1, a2=a2, M=m, dd_eta3=dd, q1_minus_p2=q1p2))
-    return replace(inv, samples=tuple(samples), classification=cls)
+    return replace(inv, T312=t12_b0, samples=tuple(samples), classification=cls)
 
 
 def compare(D1: Distribution, D2: Distribution, points,

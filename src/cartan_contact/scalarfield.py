@@ -17,9 +17,9 @@ table is open (``reduction`` opens one around each build), the smart
 constructors are memoised by their operands, in order, so a structure built
 twice is one node (hash-consing, Filliatre & Conchon 2006) and printing and
 evaluation order do not change.  The derivatives of ``sqrt`` and ``exp``
-reuse their value through a twin node made past the table, so no node
-reaches itself through its derivative cache and reference counting alone
-frees a DAG.
+reuse their value through one twin node each, made past the table, so no
+node reaches itself through its derivative cache and reference counting
+alone frees a DAG.
 
 Differentiation and evaluation are each one post-order walk over the shared
 nodes: a node's ``_diff`` receives its children's derivatives and its
@@ -488,7 +488,7 @@ class Pow(ScalarField):
 
 
 class Call(ScalarField):
-    __slots__ = ("_children", "fn")
+    __slots__ = ("_children", "fn", "_twin")
     _prec = _P_ATOM
     _kid_prec = (_P_ADD,)
 
@@ -496,6 +496,7 @@ class Call(ScalarField):
         self._derivs = _NO_DERIVS
         self._children = (arg,)
         self.fn = fn
+        self._twin = None
 
     def _diff(self, k, dk):
         u = self._children[0]
@@ -504,9 +505,11 @@ class Call(ScalarField):
             return _mul(_call("cos", u), du)
         if self.fn == "cos":
             return _neg(_mul(_call("sin", u), du))
-        # sqrt and exp reuse their own value through a twin, made past the
-        # intern table: a derivative holding this node would close a cycle
-        twin = Call(self.fn, u)
+        # sqrt and exp reuse their own value through one twin per node, made
+        # past the intern table: a derivative holding this node would close a cycle
+        twin = self._twin
+        if twin is None:
+            twin = self._twin = Call(self.fn, u)
         if self.fn == "sqrt":
             return _div(du, _mul(_TWO, twin))
         return _mul(twin, du)  # exp

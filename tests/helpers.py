@@ -84,6 +84,17 @@ def rand_poly_vector(rng: random.Random) -> VectorField:
     return VectorField(*(rand_poly_field(rng) for _ in range(3)))
 
 
+def reachable(*roots) -> set:
+    """The distinct node objects reachable from any of ``roots``."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node._children)
+    return seen
+
+
 def assert_close(got, want, tol, what=""):
     assert abs(got - want) <= tol, f"{what}: got {got!r}, want {want!r} (tol {tol})"
 

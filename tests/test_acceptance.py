@@ -105,7 +105,7 @@ def cartan_report(cartan, cartan_points):
 def stages(heisenberg, cartan):
     out = {}
     for dist in (heisenberg, cartan):
-        b0 = build_adapted(dist, points=())
+        b0 = build_adapted(dist)
         b1 = normalize_scale(b0)
         b2 = absorb_translations(b1)
         out[dist.name] = (b0, b1, b2)

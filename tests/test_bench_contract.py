@@ -3,9 +3,9 @@
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TRACED`` table;
 ``Tracer.install`` raises ``AttributeError`` if one is missing.  Under each
 ``reduction.reduce`` span, ``bench/run.py`` reads one direct
-``reduction.contact_torsion`` child and the direct ``scalarfield.evaluate``
-children.  ``bench/spans.py`` is executed from its source text, so nothing is
-written under ``bench/``.
+``reduction.contact_torsion`` child, whose t12 is the report's ``T312``, and
+the direct ``scalarfield.evaluate`` children.  ``bench/spans.py`` is
+executed from its source text, so nothing is written under ``bench/``.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ def test_every_traced_name_resolves():
 def test_reduce_span_shape(heisenberg):
     spans = load_spans()
     with spans.Tracer() as tracer:
-        reduction.reduce(heisenberg, [(0.3, -0.2, 0.1)])
+        report = reduction.reduce(heisenberg, [(0.3, -0.2, 0.1)])
     names = [span[0] for span in tracer.spans]
     top = names.index("reduction.reduce")
     assert tracer.spans[top][3] is None
@@ -45,5 +45,7 @@ def test_reduce_span_shape(heisenberg):
     assert children.count("reduction.contact_torsion") == 1
     # one evaluation per output at the ok point: T312, a1, a2, M, dd_eta3, q1 - p2
     assert children.count("scalarfield.evaluate") == 6
-    assert [i for i in tracer.torsions if tracer.spans[i][3] == top]
+    # the t12 the benchmark reads is the T312 field the report carries
+    torsions = [tracer.torsions[i][1] for i in tracer.torsions if tracer.spans[i][3] == top]
+    assert len(torsions) == 1 and torsions[0].t12 is report.T312
     assert list(tracer.reduces) == [top]

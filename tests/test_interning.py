@@ -3,9 +3,10 @@
 ``reduce``, ``build_adapted`` and ``contact_torsion`` build inside an intern
 table that memoises the smart constructors; the table is dropped when the
 outermost of them returns or raises.  Interning only shares nodes, so every
-value and every ``DomainError`` must be the one the same pipeline gives
-without a table.  The derivatives of ``sqrt`` and ``exp`` hold a twin of
-their node, not the node, so a reduction leaves no reference cycle.
+value and every ``DomainError`` of the fields ``reduce`` reports, its T312
+among them, must be the one the same pipeline gives without a table.  The
+derivatives of ``sqrt`` and ``exp`` hold one twin of their node, not the
+node, so a reduction leaves no reference cycle.
 """
 from __future__ import annotations
 
@@ -27,11 +28,12 @@ from cartan_contact.reduction import (
     reduce,
 )
 from cartan_contact.scalarfield import DomainError, as_field, exp, parse, sqrt
+from helpers import reachable
 
 THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
 # det3 = exp(x) + 1, nowhere zero
 EXP_CASE = (("1", "0", "-y"), ("0", "1", "exp(x)"))
-OUTPUTS = ("a1", "a2", "M", "A1", "A2", "A3", "dd_eta3", "q1_minus_p2")
+OUTPUTS = ("T312", "a1", "a2", "M", "A1", "A2", "A3", "dd_eta3", "q1_minus_p2")
 
 
 def respan_pd() -> Distribution:
@@ -41,25 +43,15 @@ def respan_pd() -> Distribution:
     return Distribution(f * X1 + g * X2, h * X1 + k * X2, name="respan-pd")
 
 
-def reachable(*roots) -> set:
-    seen, stack = set(), list(roots)
-    while stack:
-        node = stack.pop()
-        if node not in seen:
-            seen.add(node)
-            stack.extend(node._children)
-    return seen
-
-
 class TestNoCycles:
     @pytest.mark.parametrize("fn", [sqrt, exp])
     def test_derivative_holds_a_twin_not_the_node(self, fn):
         f = fn(parse("x*y + 1"))
-        df = f.diff("x")
+        df, dy = f.diff("x"), f.diff("y")
         assert df is f.diff("x")
-        assert f not in reachable(df)
-        twins = [n for n in reachable(df) if type(n) is type(f) and n.fn == f.fn]
-        assert twins and all(t._children == f._children for t in twins)
+        assert f not in reachable(df, dy)
+        twins = {n for n in reachable(df, dy) if type(n) is type(f) and n.fn == f.fn}
+        assert len(twins) == 1 and twins.pop()._children == f._children
 
     @pytest.mark.parametrize("components", [None, EXP_CASE], ids=["heisenberg", "exp"])
     def test_reduce_leaves_nothing_for_the_collector(self, components):
@@ -105,8 +97,7 @@ class TestScope:
         with pytest.raises(DegenerateInput):
             reduce(parallel, THREE_POINTS)
         assert scalarfield._table is None
-        build_adapted(heisenberg, THREE_POINTS)
-        contact_torsion(build_adapted(heisenberg, points=()))
+        contact_torsion(build_adapted(heisenberg))
         assert scalarfield._table is None
 
     def test_threads_sharing_the_table_get_the_records_of_one(self):
@@ -161,9 +152,7 @@ def _values(fields: dict, point) -> dict:
 
 def _outputs(dist: Distribution, points) -> tuple[dict, list]:
     report = reduce(dist, points)
-    fields = {key: getattr(report, key) for key in OUTPUTS}
-    fields["t12"] = contact_torsion(build_adapted(dist, points=())).t12
-    return fields, report.samples
+    return {key: getattr(report, key) for key in OUTPUTS}, report.samples
 
 
 class TestInterningChangesNoResult:

@@ -40,7 +40,7 @@ from cartan_contact.reduction import (
 )
 from cartan_contact import corpus, reduction, replace
 from cartan_contact.scalarfield import as_field
-from helpers import rand_points
+from helpers import rand_points, reachable
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
@@ -49,7 +49,7 @@ M_CARTAN = lambda x, y, z: 0.25 * (2 * y * y - 1) ** 2 / (1 + y * y) ** 4
 
 
 def full_pipeline(dist):
-    b0 = build_adapted(dist, points=())
+    b0 = build_adapted(dist)
     b1 = normalize_scale(b0)
     b2 = absorb_translations(b1)
     return b0, b1, b2, extract_invariants(b2)
@@ -131,14 +131,14 @@ class TestClassify:
 
 class TestBuildAdapted:
     def test_heisenberg_origin_coframe(self, heisenberg):
-        A = build_adapted(heisenberg, default_grid_points())
+        A = build_adapted(heisenberg)
         assert A.stage == "B0"
         assert A.coframe.eta1.at(ORIGIN) == pytest.approx((1, 0, 0), abs=1e-12)
         assert A.coframe.eta2.at(ORIGIN) == pytest.approx((0, 1, 0), abs=1e-12)
         assert A.coframe.eta3.at(ORIGIN) == pytest.approx((0, 0, 0.5), abs=1e-12)
 
     def test_b0_invariants_hold(self, heisenberg, rng):
-        A = build_adapted(heisenberg, points=())
+        A = build_adapted(heisenberg)
         eta3 = A.coframe.eta3
         ann1, ann2 = eta3(heisenberg.X1), eta3(heisenberg.X2)
         # metric condition: <W, W> = eta1(W)^2 + eta2(W)^2 for W in the plane
@@ -154,22 +154,13 @@ class TestBuildAdapted:
 
     def test_cartan_annihilator_direction(self, cartan, rng):
         # the annihilator of span{(1,0,-y), (0,1,0)} is proportional to y dx + dz
-        A = build_adapted(cartan, points=())
+        A = build_adapted(cartan)
         cx, cy, cz = A.coframe.eta3.components
         for p in rand_points(rng, 10):
             y = p[1]
             vx, vy, vz = cx.evaluate(p), cy.evaluate(p), cz.evaluate(p)
             assert abs(vy) <= 1e-9
             assert vx == pytest.approx(y * vz, abs=1e-9)
-
-    def test_holonomic_input_rejected(self, exercise1a):
-        with pytest.raises(HolonomicError):
-            build_adapted(exercise1a, default_grid_points())
-
-    def test_points_iterator_verifies_frame(self, exercise1a):
-        # a one-shot iterator is classified like a list, not taken as empty
-        with pytest.raises(HolonomicError, match="planes integrate"):
-            build_adapted(exercise1a, iter(default_grid_points()))
 
     @pytest.mark.parametrize("case, points, expected", [
         ("heisenberg", None, None),
@@ -185,19 +176,19 @@ class TestBuildAdapted:
     ], ids=["heisenberg", "cartan", "exercise1a", "mixed", "dependent",
             "vanishing-first", "undefined-row"])
     def test_accepts_what_reduce_accepts(self, case, points, expected, request):
+        # reduce is the one gate; build_adapted verifies nothing
         dist = request.getfixturevalue(case) if isinstance(case, str) else case
         points = default_grid_points() if points is None else points
-        outcomes = []
-        for run in (build_adapted, reduce):
-            try:
-                run(dist, points)
-                outcomes.append(None)
-            except Exception as exc:
-                outcomes.append(type(exc))
-        assert outcomes == [expected, expected]
+        assert build_adapted(dist).stage == "B0"
+        try:
+            reduce(dist, points)
+            outcome = None
+        except Exception as exc:
+            outcome = type(exc)
+        assert outcome is expected
 
     def test_duality_after_build(self, cartan, rng):
-        A = build_adapted(cartan, points=())
+        A = build_adapted(cartan)
         pairing = pairing_matrix(A.coframe, A.frame)
         for p in rand_points(rng, 5):
             got = np.array([[f.evaluate(p) for f in row] for row in pairing])
@@ -206,21 +197,21 @@ class TestBuildAdapted:
 
 class TestContactTorsion:
     def test_heisenberg_b0_values(self, heisenberg, grid):
-        A = build_adapted(heisenberg, points=())
+        A = build_adapted(heisenberg)
         t = contact_torsion(A)
         for p in grid:
             assert abs(t.t12.evaluate(p)) == pytest.approx(1.0, abs=1e-9)
             assert t.t12.evaluate(p) == pytest.approx(-1.0, abs=1e-9)
 
     def test_cartan_b0_magnitude_one(self, cartan, grid):
-        A = build_adapted(cartan, points=())
+        A = build_adapted(cartan)
         t = contact_torsion(A)
         for p in grid:
             assert abs(t.t12.evaluate(p)) == pytest.approx(1.0, abs=1e-9)
 
     def test_wedge_identity(self, heisenberg, rng):
         # d(eta3) ^ eta3 = t12 * eta1^eta2^eta3
-        A = build_adapted(heisenberg, points=())
+        A = build_adapted(heisenberg)
         t12 = contact_torsion(A).t12
         d3 = exterior_derivative(A.coframe.eta3)
         lhs = wedge21(d3, A.coframe.eta3)
@@ -248,7 +239,7 @@ def _shear_coframe():
 
 class TestNormalizeScale:
     def test_heisenberg_unit_torsion_after(self, heisenberg, rng):
-        A = build_adapted(heisenberg, points=())
+        A = build_adapted(heisenberg)
         B = normalize_scale(A)
         assert B.stage == "B1"
         c312 = contact_torsion(B).t12
@@ -256,13 +247,13 @@ class TestNormalizeScale:
             assert c312.evaluate(p) == pytest.approx(1.0, abs=1e-9)
 
     def test_cartan_unit_torsion_after(self, cartan, rng):
-        B = normalize_scale(build_adapted(cartan, points=()))
+        B = normalize_scale(build_adapted(cartan))
         c312 = contact_torsion(B).t12
         for p in rand_points(rng, 10):
             assert c312.evaluate(p) == pytest.approx(1.0, abs=1e-9)
 
     def test_duality_preserved(self, heisenberg, rng):
-        B = normalize_scale(build_adapted(heisenberg, points=()))
+        B = normalize_scale(build_adapted(heisenberg))
         pairing = pairing_matrix(B.coframe, B.frame)
         for p in rand_points(rng, 5):
             got = np.array([[f.evaluate(p) for f in row] for row in pairing])
@@ -278,7 +269,7 @@ class TestNormalizeScale:
             assert old is new
 
     def test_stage_guard(self, heisenberg):
-        A = build_adapted(heisenberg, points=())
+        A = build_adapted(heisenberg)
         B = normalize_scale(A)
         with pytest.raises(ValueError):
             normalize_scale(B)
@@ -321,14 +312,14 @@ class TestAbsorbTranslations:
             assert old is new
 
     def test_stage_guard(self, heisenberg):
-        A = build_adapted(heisenberg, points=())
+        A = build_adapted(heisenberg)
         with pytest.raises(ValueError):
             absorb_translations(A)
 
 
 class TestExtractInvariants:
     def test_stage_guard(self, heisenberg):
-        b0 = build_adapted(heisenberg, points=())
+        b0 = build_adapted(heisenberg)
         with pytest.raises(ValueError):
             extract_invariants(b0)
 
@@ -401,6 +392,9 @@ class TestReduce:
             reduce(exercise1a, grid)
         assert "holonomic" in str(err.value)
         assert err.value.classification.kind == "holonomic"
+        # a one-shot iterator is classified like a list, not taken as empty
+        with pytest.raises(HolonomicError, match="planes integrate"):
+            reduce(exercise1a, iter(default_grid_points()))
 
     def test_mixed_raises(self, mixed_distribution, grid):
         with pytest.raises(MixedTypeError):
@@ -471,17 +465,6 @@ class TestReduce:
             assert (s.a1, s.a2, s.M, s.dd_eta3, s.q1_minus_p2) == (None,) * 5
 
 
-def distinct_nodes(*fields) -> int:
-    """Distinct node objects reachable from any of ``fields``."""
-    seen, stack = set(), list(fields)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._children)
-    return len(seen)
-
-
 class TestUnitTorsionIdentity:
     """reduce applies t12 = -1 exactly instead of dividing by the symbolic
     t12, and evaluates each point's outputs over one shared memo."""
@@ -496,34 +479,34 @@ class TestUnitTorsionIdentity:
         return [heisenberg, corpus.distribution("cartan"), respan]
 
     # ids without the bound, so lowering a bound does not rename the test
-    @pytest.mark.parametrize("name, bound", [("heisenberg", 1551), ("cartan", 218)],
+    @pytest.mark.parametrize("name, bound", [("heisenberg", 1527), ("cartan", 218)],
                              ids=["heisenberg", "cartan"])
     def test_m_node_count_bound(self, name, bound):
         # dividing by t12 gave 7923 (heisenberg) and 681 (cartan) nodes, and
-        # applying t12 = -1 before interning 1936 and 262
+        # applying t12 = -1 before interning 1936 and 262, and interning with
+        # a twin per sqrt derivative 1551 (heisenberg)
         rep = reduce(corpus.distribution(name), [ORIGIN])
-        assert distinct_nodes(rep.M) <= bound
+        assert len(reachable(rep.M)) <= bound
 
     # distinct nodes of each output and of their union, as counted when these
     # bounds were set; a change may lower them, never raise them
     NODE_BOUNDS = {
-        "heisenberg": {"t12": 355, "a1": 1543, "a2": 1432, "M": 1551,
-                       "dd_eta3": 674, "q1_minus_p2": 1541, "union": 1905},
-        "cartan": {"t12": 81, "a1": 217, "a2": 1, "M": 218,
-                   "dd_eta3": 1, "q1_minus_p2": 1, "union": 296},
-        "respan": {"t12": 925, "a1": 3966, "a2": 3814, "M": 3974,
-                   "dd_eta3": 2271, "q1_minus_p2": 3964, "union": 4890},
+        "heisenberg": {"t12": 341, "a1": 1519, "a2": 1408, "M": 1527,
+                       "dd_eta3": 662, "q1_minus_p2": 1517, "union": 1540},
+        "cartan": {"t12": 78, "a1": 217, "a2": 1, "M": 218,
+                   "dd_eta3": 1, "q1_minus_p2": 1, "union": 223},
+        "respan": {"t12": 882, "a1": 3828, "a2": 3676, "M": 3836,
+                   "dd_eta3": 2185, "q1_minus_p2": 3826, "union": 3849},
     }
 
     @pytest.mark.parametrize("name", list(NODE_BOUNDS))
     def test_output_node_count_bounds(self, name):
         dist = next(d for d in self.cases() if d.name == name)
         rep = reduce(dist, [ORIGIN])
-        outputs = {"t12": contact_torsion(build_adapted(dist, points=())).t12,
-                   "a1": rep.a1, "a2": rep.a2, "M": rep.M,
+        outputs = {"t12": rep.T312, "a1": rep.a1, "a2": rep.a2, "M": rep.M,
                    "dd_eta3": rep.dd_eta3, "q1_minus_p2": rep.q1_minus_p2}
-        counts = {key: distinct_nodes(f) for key, f in outputs.items()}
-        counts["union"] = distinct_nodes(*outputs.values())
+        counts = {key: len(reachable(f)) for key, f in outputs.items()}
+        counts["union"] = len(reachable(*outputs.values()))
         over = {key: (n, self.NODE_BOUNDS[name][key]) for key, n in counts.items()
                 if n > self.NODE_BOUNDS[name][key]}
         assert not over, over
@@ -546,15 +529,13 @@ class TestUnitTorsionIdentity:
     def test_shared_memo_is_bit_identical(self, grid):
         for dist in self.cases():
             rep = reduce(dist, grid)
-            t12 = contact_torsion(build_adapted(dist, points=())).t12
-            outputs = (rep.a1, rep.a2, rep.M, rep.dd_eta3, rep.q1_minus_p2)
+            outputs = (rep.T312, rep.a1, rep.a2, rep.M, rep.dd_eta3, rep.q1_minus_p2)
             for s in rep.samples:
                 memo = {}
                 shared = [f.evaluate(s.point, memo) for f in outputs]
                 fresh = [f.evaluate(s.point) for f in outputs]
                 assert shared == fresh
-                assert [s.a1, s.a2, s.M, s.dd_eta3, s.q1_minus_p2] == fresh
-                assert s.T312 == t12.evaluate(s.point)
+                assert [s.T312, s.a1, s.a2, s.M, s.dd_eta3, s.q1_minus_p2] == fresh
 
 
 class TestInvariance:
