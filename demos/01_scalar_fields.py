@@ -6,7 +6,7 @@ The expression core works with functions of (x, y, z) written in a small
 grammar: numbers, coordinates x/y/z (aliases x1/x2/x3), + - * /, integer
 powers ^, unary minus, and sqrt/sin/cos/exp.
 """
-from cartan_contact import DomainError, differentiate, evaluate, parse
+from cartan_contact import DomainError, parse
 
 ##############################################################################
 # Parsing and evaluation.  Precedence is ^ > unary minus > * / > + -, with
@@ -14,7 +14,7 @@ from cartan_contact import DomainError, differentiate, evaluate, parse
 
 f = parse("y/(2*sqrt(1+y^2))")
 print("f(x,y,z) =", f)
-print("f at (0, 1, 0) =", evaluate(f, (0, 1, 0)))
+print("f at (0, 1, 0) =", f.evaluate((0, 1, 0)))
 
 g = parse("-x^2 + 2^3^2")
 print("g at (3, 0, 0) =", g((3, 0, 0)))        # fields are callable too
@@ -24,7 +24,7 @@ print("g at (3, 0, 0) =", g((3, 0, 0)))        # fields are callable too
 # so they can be differentiated again (the reduction pipeline needs third
 # derivatives of its inputs).
 
-df = differentiate(f, "y")
+df = f.diff("y")
 print("df/dy =", df)
 print("df/dy at (0, 1, 0) =", df((0, 1, 0)))
 print("d2f/dy2 at (0, 1, 0) =", df.diff("y")((0, 1, 0)))

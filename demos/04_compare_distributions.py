@@ -16,8 +16,8 @@ cartan = corpus.distribution("cartan")
 # The two examples attain disjoint invariant value sets on the grid.
 
 result = compare(heisenberg, cartan, points)
-print("heisenberg M range:", result.m_range_a)
-print("cartan     M range:", result.m_range_b)
+print("heisenberg M range:", result.report_a.m_range())
+print("cartan     M range:", result.report_b.m_range())
 print("verdict:", result.verdict)
 
 ##############################################################################

@@ -64,9 +64,6 @@ _CORPUS_COLUMNS = ("name", "classification", "T312_abs", "M_min", "M_max", "regr
 # records is far beyond any report a reader uses, and far below what
 # exhausts memory
 _MAX_GRID_POINTS = 10 ** 6
-# statuses a point classified without a reduction reports
-_CLASSIFIED_STATUS = {"holonomic": "holonomic-at-point", "contact": "singular",
-                      "undefined": "singular"}
 
 
 class CliError(Exception):
@@ -321,9 +318,7 @@ def report_from_invariants(name: str, report: InvariantReport) -> dict:
 
 
 def report_from_classification(name: str, classification) -> dict:
-    samples = [SampleRecord(r.point, _CLASSIFIED_STATUS[r.status], det3=r.det3)
-               for r in classification.records]
-    return _report(name, classification.kind, samples)
+    return _report(name, classification.kind, classification.samples())
 
 
 def _analyze_rows(doc: dict):

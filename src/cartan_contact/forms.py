@@ -107,9 +107,6 @@ class TwoForm(_Triple):
 
     __slots__ = ()
 
-    def __call__(self, X: VectorField, Y: VectorField) -> ScalarField:
-        return apply_two_form(self, X, Y)
-
 
 def dot(X: VectorField, Y: VectorField) -> ScalarField:
     """Ambient Euclidean scalar product: the componentwise pairing of two triples."""

@@ -140,6 +140,12 @@ class Classification(Record):
     kind: str              # "holonomic" | "contact" | "mixed"
     records: tuple[PointClassification, ...]
 
+    def samples(self) -> tuple[SampleRecord, ...]:
+        """The points' records when no reduction runs: ``holonomic-at-point``
+        where holonomic, ``singular`` elsewhere, with det3 where defined."""
+        return tuple(SampleRecord(r.point, "holonomic-at-point" if r.status == "holonomic"
+                                  else "singular", det3=r.det3) for r in self.records)
+
 
 class AdaptedCoframe(Record):
     """A coframe section with its dual frame and reduction stage tag.
@@ -219,14 +225,6 @@ class ComparisonResult(Record):
     report_a: InvariantReport
     report_b: InvariantReport
 
-    @property
-    def m_range_a(self):
-        return self.report_a.m_range()
-
-    @property
-    def m_range_b(self):
-        return self.report_b.m_range()
-
 
 def grid_axis(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced values on [lo, hi], ending exactly at hi; n = 1 yields lo."""
@@ -249,7 +247,8 @@ def default_grid_points() -> list[Point]:
 def classify(D: Distribution, points) -> Classification:
     """Per-point holonomicity of span{X1, X2} from det(X1, X2, [X1, X2]).
 
-    A point is holonomic when |det3| <= 1e-9 * |X1| |X2| |[X1, X2]|.  Raises
+    A point is holonomic when |det3| <= 1e-9 * |X1| |X2| |[X1, X2]|, and
+    undefined where a field is undefined or the area test overflows.  Raises
     :class:`DegenerateInput` where the generators are linearly dependent, or
     when they are undefined at every point.  This is the library's only
     per-point degeneracy check; the stage builders only construct.
@@ -275,7 +274,7 @@ def classify(D: Distribution, points) -> Classification:
                 raise DegenerateInput("generators are linearly dependent", p)
             vb = nb.evaluate(p, memo)
             d = det3.evaluate(p, memo)
-        except DomainError:
+        except (DomainError, OverflowError):
             records.append(PointClassification(p, "undefined", None, None))
             continue
         scale = v1 * v2 * vb

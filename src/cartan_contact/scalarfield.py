@@ -38,8 +38,6 @@ __all__ = [
     "ScalarField",
     "Point",
     "parse",
-    "evaluate",
-    "differentiate",
     "as_field",
     "sqrt",
     "sin",
@@ -897,12 +895,3 @@ def parse(text: str) -> ScalarField:
         raise ExpressionSyntaxError("empty expression", 0)
     return _parse_tokens(text, _tokenize(text))
 
-
-def evaluate(f: ScalarField, point) -> float:
-    """Value of ``f`` at ``point``; see :meth:`ScalarField.evaluate`."""
-    return f.evaluate(point)
-
-
-def differentiate(f: ScalarField, var) -> ScalarField:
-    """Exact partial derivative of ``f`` with respect to ``var`` (x, y or z)."""
-    return f.diff(var)

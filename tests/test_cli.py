@@ -50,6 +50,35 @@ def unreadable_spec(tmp_path, kind) -> str:
     return str(path)
 
 
+# fields whose evaluation meets overflow, underflow or a domain edge; in
+# EDGE_RUNS each key stands for a spec file of its fields
+EDGE_FIELDS = {
+    "overflow-1e85": (("1e85", "0", "-y"), ("0", "1e85", "x")),
+    "overflow-1e150": (("1e150", "0", "0"), ("0", "1", "x*1e150")),
+    "large-1e80": (("1e80", "0", "-y"), ("0", "1e80", "x")),
+    "power-1000": (("1", "0", "-y"), ("0", "1", "x^1000")),
+    "exp": (("1", "0", "-y"), ("0", "1", "exp(x)")),
+    "sqrt": (("1", "0", "-y"), ("0", "1", "sqrt(x)")),
+    "scaled-1e-200": (("1e-200", "0", "-1e-200*y"), ("0", "1e-200", "1e-200*x")),
+}
+AT = "[[0.5,0.5,0.3]]"
+UNDEFINED = "error: generators undefined at every sampled point\n"
+# argv, exit code (None: any of 0, 1, 2) and the exact stderr (None: any)
+EDGE_RUNS = {
+    "overflow-1e85": (("analyze", "overflow-1e85", "--points", AT), 1, UNDEFINED),
+    "overflow-1e150": (("analyze", "overflow-1e150", "--points", AT), 1, UNDEFINED),
+    "large-1e80": (("analyze", "large-1e80", "--points", AT), 0, ""),
+    "power-1000-at-2": (("analyze", "power-1000", "--points", "[[2,0,0.3]]"), 1, UNDEFINED),
+    "exp-at-700": (("analyze", "exp", "--points", "[[700,0,0.3]]"), 1, UNDEFINED),
+    "sqrt-at-0": (("analyze", "sqrt", "--points", "[[0,0,0.3]]"), 1, UNDEFINED),
+    # |X1|^2 |X2|^2 underflows to 0 here, so the verdict is left open
+    "scaled-1e-200": (("analyze", "scaled-1e-200", "--points", AT), None, None),
+    "far-point": (("analyze", "heisenberg", "--points", "[[1e200,0,0]]"), 1, UNDEFINED),
+    "compare-overflow": (("compare", "heisenberg", "overflow-1e150", "--points", AT),
+                         1, UNDEFINED),
+}
+
+
 class TestAnalyze:
     def test_builtin_point_json(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "heisenberg",
@@ -528,6 +557,18 @@ class TestEntryPoint:
     def test_usage_error_exits_1(self, capsys, argv, message):
         # exit code 2 is kept for holonomic and mixed classifications
         assert message in diagnostic(capsys, *argv)
+
+    @pytest.mark.parametrize("name", EDGE_RUNS)
+    def test_no_traceback(self, capsys, tmp_path, name):
+        argv, code, message = EDGE_RUNS[name]
+        argv = [write_spec(tmp_path, name=a, x1=EDGE_FIELDS[a][0], x2=EDGE_FIELDS[a][1])
+                if a in EDGE_FIELDS else a for a in argv]
+        got, out, err = run_cli(capsys, *argv)
+        assert got in (0, 1, 2) if code is None else got == code, err
+        if got == 1:
+            assert (out, err.count("\n")) == ("", 1) and err.startswith("error: "), err
+        if message is not None:
+            assert err == message
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

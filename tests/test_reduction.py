@@ -623,8 +623,8 @@ class TestCompare:
         result = compare(heisenberg, cartan, grid)
         assert result.verdict == "distinguished"
         # frozen from exhaustive evaluation of the two closed forms on the grid
-        assert result.m_range_a == pytest.approx((0.0, 9 / 64), abs=1e-9)
-        assert result.m_range_b == pytest.approx((1 / 64, 0.25), abs=1e-9)
+        assert result.report_a.m_range() == pytest.approx((0.0, 9 / 64), abs=1e-9)
+        assert result.report_b.m_range() == pytest.approx((1 / 64, 0.25), abs=1e-9)
 
     def test_self_comparison_not_distinguished(self, heisenberg, grid):
         result = compare(heisenberg, heisenberg, grid)

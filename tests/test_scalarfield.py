@@ -14,8 +14,6 @@ from cartan_contact.scalarfield import (
     ScalarField,
     UnknownIdentifier,
     as_field,
-    differentiate,
-    evaluate,
     parse,
 )
 from helpers import fd_partial, rand_points, rand_smooth_field
@@ -169,6 +167,14 @@ class TestParse:
         with pytest.raises(ValueError, match="finite"):
             as_field(10 ** 400)
 
+    def test_wrong_types_refused(self):
+        with pytest.raises(TypeError, match="exponents must be Python ints"):
+            parse("x") ** 2.0
+        with pytest.raises(TypeError, match="cannot convert list to ScalarField"):
+            as_field([1])
+        with pytest.raises(TypeError, match="expression text must be a str"):
+            parse(b"x")
+
     @pytest.mark.parametrize("text, message, offset", [
         ("x^y + 1", "exponent must be an integer literal", 2),
         ("2*(x^-y", "exponent must be an integer literal", 5),
@@ -179,6 +185,8 @@ class TestParse:
         ("x * )", "unexpected token ')'", 4),
         ("-(", "unexpected end of input", 2),
         ("1e999", "bad numeric literal '1e999'", 0),
+        ("²", "bad numeric literal '²'", 0),
+        ("x*³", "bad numeric literal '³'", 2),
     ])
     def test_error_messages_and_offsets(self, text, message, offset):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -452,11 +460,6 @@ class TestSimplification:
 
     def test_constants_fold(self):
         assert parse("2*3 + 4").to_text() == "10"
-
-    def test_module_level_wrappers(self):
-        f = parse("x^2")
-        assert evaluate(f, (3, 0, 0)) == 9.0
-        assert evaluate(differentiate(f, "x"), (3, 0, 0)) == 6.0
 
 
 def reference_value(f, p, memo=None):
