@@ -21,17 +21,27 @@ product on their span, the pipeline
 Stages transform coframe sections by explicit structure-group elements; the
 dual frame is carried along by the exact inverse transformation, never by a
 second matrix inversion.
+
+The stage functions carry coordinate coframes and differentiate their
+components.  :func:`reduce` reaches the same B2 section without them: it
+reads the stage coefficients off the structure functions of the generator
+frame (X1, X2, [X1, X2]) and the lower-triangular matrix taking it to the
+B0 frame, so nothing is differentiated beyond the generators' brackets and
+a few scalars.  The coordinate path stays as library API and as a second
+derivation of the same outputs.
 """
 from __future__ import annotations
 
 from ._record import Record, replace
-from .scalarfield import DomainError, Point, ScalarField, _interning
+from .scalarfield import DomainError, Point, ScalarField, _interning, as_field, sqrt
 from .forms import (
     Coframe,
     Frame,
     VectorField,
+    _cross,
     commutator,
     complete_frame,
+    differential,
     dot,
     dual_coframe,
     exterior_derivative,
@@ -398,17 +408,95 @@ def extract_invariants(A: AdaptedCoframe) -> InvariantReport:
     )
 
 
+def _frame_invariants(D: Distribution) -> InvariantReport:
+    """What :func:`extract_invariants` gives on the B2 section that
+    :func:`reduce` reaches, built from the generator frame's structure
+    functions instead of coordinate forms.
+
+    X3 = [X1, X2] and [X_i, X_j] = C^k_ij X_k, so C^k_12 = delta^k_3 and
+    C^k_i3 = xi^k([X_i, X3]), xi being the coframe dual to X.  The B0 frame
+    is e = A X with A lower-triangular: Gram-Schmidt gives the rows
+    (alpha, 0, 0) and (beta, gamma, 0), and e3 = [e1, e2], expanded by
+    Leibniz, the row (p, q, alpha gamma).  With e_a(f) = A_a^i X_i(f), the
+    B0 coefficients c^l_ab are minus the e_l components of [e_a, e_b], read
+    through A^-1.  The B1 flip and the B2 translations (t23, t31) =
+    (c^3_23, c^3_31) then give P_i = -c^i_23 - e2(t_i) and
+    Q_i = -c^i_31 + e1(t_i), where (t_1, t_2) = (t23, t31).
+
+    dd_eta3 is the l = 3 Jacobi sum of the generator frame, its form of
+    d(d eta3) = 0.  On the e frame the same sum is Q1 - P2 term by term, so
+    it would only repeat q1_minus_p2.
+    """
+    X = (D.X1, D.X2, commutator(D.X1, D.X2))
+    det3 = triple_product(*X)
+    xi = (_cross(X[1], X[2]), _cross(X[2], X[0]), _cross(X[0], X[1]))
+    zero = as_field(0)
+    C = {(0, 1): (zero, zero, as_field(1))}
+    for i in (0, 1):
+        Xi3 = commutator(X[i], X[2])
+        C[i, 2] = tuple(dot(w, Xi3) / det3 for w in xi)
+
+    def c(i, j, k):   # C^k_ij, antisymmetric in i, j
+        if i == j:
+            return zero
+        return C[i, j][k] if i < j else -C[j, i][k]
+
+    def along(i, f):   # X_i(f)
+        return dot(X[i], differential(f))
+
+    g11, g12 = dot(X[0], X[0]), dot(X[0], X[1])
+    alpha = 1 / norm(X[0])
+    m = sqrt(dot(X[1], X[1]) - g12 * g12 / g11)
+    beta, gamma = -g12 / (g11 * m), 1 / m
+    ag = alpha * gamma
+    p = alpha * along(0, beta) - beta * along(0, alpha) - gamma * along(1, alpha)
+    q = alpha * along(0, gamma)
+    A = ((alpha, zero, zero), (beta, gamma, zero), (p, q, ag))
+    inv = ((1 / alpha, zero, zero), (-beta / ag, 1 / gamma, zero),   # X_k = inv[k][l] e_l
+           ((beta * q - gamma * p) / (ag * ag), -q / (gamma * ag), 1 / ag))
+
+    def e(a, f):   # e_a(f); A is lower-triangular
+        return sum((A[a][i] * along(i, f) for i in range(a + 1)), zero)
+
+    def bracket(a, b):   # [e_a, e_b] in the e basis
+        v = [e(a, A[b][k]) - e(b, A[a][k])
+             + sum((A[a][i] * A[b][j] * c(i, j, k) for i in range(a + 1) for j in range(b + 1)),
+                   zero) for k in range(3)]
+        return tuple(sum((v[k] * inv[k][l] for k in range(l, 3)), zero) for l in range(3))
+
+    b23, b31 = bracket(1, 2), bracket(2, 0)
+    t23, t31 = -b23[2], -b31[2]
+    p1, p2 = b23[0] - e(1, t23), b23[1] - e(1, t31)
+    q1, q2 = b31[0] + e(0, t23), b31[1] + e(0, t31)
+    a1 = (p1 - q2) / 2
+    return InvariantReport(
+        a1=a1,
+        a2=q1,
+        M=a1 * a1 + q1 * q1,
+        A1=-t23,
+        A2=-t31,
+        A3=-(p1 + q2) / 2,
+        dd_eta3=along(1, C[0, 2][2]) - along(0, C[1, 2][2]) - C[1, 2][1] - C[0, 2][0],
+        q1_minus_p2=q1 - p2,
+    )
+
+
 def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> InvariantReport:
     """Run the full reduction over sample points.
 
-    The symbolic pipeline is built once: the stage-B0 section of
-    :func:`build_adapted`, the exact scale -1 to stage B1 (its t12 is -1 by
-    duality, see the module docstring), then :func:`absorb_translations` and
-    :func:`extract_invariants`, all in one intern table, so a structure the
-    stages build twice is one node.  The symbolic B0 t12 is still evaluated
-    at each point as ``SampleRecord.T312``, a free residual for that
-    identity, and returned as the report's ``T312`` field.  Each point's
-    outputs are evaluated over one shared memo, so subtrees they share are
+    The symbolic pipeline is built once, in one intern table, so a structure
+    built twice is one node.  The outputs come from the generator frame's
+    structure functions (:func:`_frame_invariants`): the Gram-Schmidt B0
+    frame that :func:`build_adapted` also builds, the exact scale -1 to
+    stage B1 (its t12 is -1 by duality, see the module docstring) and the
+    B2 translations, in closed form.  ``dd_eta3`` is the generator frame's
+    form of d(d eta3) = 0, its l = 3 Jacobi sum; ``q1_minus_p2`` is
+    Q1 - P2.  The B0 t12 is still built
+    on the coordinate path, by :func:`build_adapted` and
+    :func:`contact_torsion`, evaluated at each point as
+    ``SampleRecord.T312``, a residual for that identity sharing no formula
+    with the outputs, and returned as the report's ``T312`` field.  Each
+    point's six evaluations share one memo, so subtrees they share are
     computed once per point.
 
     :func:`classify` runs first and is the pipeline's only gate: a holonomic
@@ -427,13 +515,8 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
             raise HolonomicError(cls)
         if cls.kind == "mixed":
             raise MixedTypeError(cls)
-        b0 = build_adapted(D)
-        t12_b0 = contact_torsion(b0).t12
-        eta1, eta2, eta3 = b0.coframe.forms
-        e1, e2, e3 = b0.frame.fields
-        b1 = AdaptedCoframe(Coframe(eta1, eta2, -eta3), Frame(e1, e2, -e3), "B1")
-        b2 = absorb_translations(b1)
-        inv = extract_invariants(b2)
+        t12_b0 = contact_torsion(build_adapted(D)).t12
+        inv = _frame_invariants(D)
 
     samples = []
     for rec in cls.records:

@@ -10,7 +10,6 @@ import pytest
 
 from cartan_contact import corpus, reduction, replace
 from cartan_contact.cli import main
-from cartan_contact.reduction import extract_invariants
 from cartan_contact.scalarfield import as_field
 
 
@@ -325,19 +324,20 @@ class TestAnalyze:
         assert err == "error: sampling.grid.x: endpoints must be numbers\n"
 
     def test_large_coefficients_are_no_internal_error(self, capsys, tmp_path):
-        # a1 is -2.7e11 here and rounding leaves q1 - p2 near 7.6e-6: above
-        # 1e-6 and the identity tolerance, below 1e-6 max(1, |a1|, |a2|)
+        # a1 is -2.7e11 here; M = 7.4734649121008009e22 is sympy's value at
+        # 40 digits, and the residuals stay within the identity tolerance
         spec = write_spec(tmp_path, name="large", x2=("0", "1", "x + sin(1000000*y)"),
                           sampling={"points": [[0.5, -0.7, 0.3]]})
         code, out, err = run_cli(capsys, "analyze", spec, "--format", "json")
         assert (code, err) == (0, "")
         (record,) = json.loads(out)["records"]
-        assert record["status"] == "singular"
-        assert 1e-6 < abs(record["residuals"]["q1_minus_p2"]) <= 1e-6 * abs(record["a1"])
+        assert record["status"] == "ok"
+        assert record["M"] == pytest.approx(7.4734649121008009e22, rel=1e-12)
 
     def test_consistency_error_is_internal_error(self, capsys, monkeypatch):
-        broken = lambda A: replace(extract_invariants(A), q1_minus_p2=as_field(1))
-        monkeypatch.setattr(reduction, "extract_invariants", broken)
+        build = reduction._frame_invariants
+        broken = lambda D: replace(build(D), q1_minus_p2=as_field(1))
+        monkeypatch.setattr(reduction, "_frame_invariants", broken)
         code, out, err = run_cli(capsys, "analyze", "heisenberg", "--points", "[[1,0,0.3]]")
         assert (code, out, err.count("\n")) == (1, "", 1)
         assert err.startswith("internal error: d(d eta3) = 0 forces Q1 = P2")

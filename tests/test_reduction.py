@@ -446,8 +446,9 @@ class TestReduce:
         assert band.T312 is None and band.M is None
 
     def test_broken_identity_raises_consistency(self, heisenberg, monkeypatch):
-        broken = lambda A: replace(extract_invariants(A), q1_minus_p2=as_field(1))
-        monkeypatch.setattr(reduction, "extract_invariants", broken)
+        build = reduction._frame_invariants
+        broken = lambda D: replace(build(D), q1_minus_p2=as_field(1))
+        monkeypatch.setattr(reduction, "_frame_invariants", broken)
         with pytest.raises(ConsistencyError):
             reduce(heisenberg, [(1.0, 0.0, 0.3)])
 
@@ -479,24 +480,25 @@ class TestUnitTorsionIdentity:
         return [heisenberg, corpus.distribution("cartan"), respan]
 
     # ids without the bound, so lowering a bound does not rename the test
-    @pytest.mark.parametrize("name, bound", [("heisenberg", 1527), ("cartan", 218)],
+    @pytest.mark.parametrize("name, bound", [("heisenberg", 361), ("cartan", 61)],
                              ids=["heisenberg", "cartan"])
     def test_m_node_count_bound(self, name, bound):
-        # dividing by t12 gave 7923 (heisenberg) and 681 (cartan) nodes, and
-        # applying t12 = -1 before interning 1936 and 262, and interning with
-        # a twin per sqrt derivative 1551 (heisenberg)
+        # dividing by t12 gave 7923 (heisenberg) and 681 (cartan) nodes,
+        # applying t12 = -1 before interning 1936 and 262, interning with a
+        # twin per sqrt derivative 1551 (heisenberg), and the coordinate
+        # coframe with one twin per node 1527 and 218
         rep = reduce(corpus.distribution(name), [ORIGIN])
         assert len(reachable(rep.M)) <= bound
 
     # distinct nodes of each output and of their union, as counted when these
     # bounds were set; a change may lower them, never raise them
     NODE_BOUNDS = {
-        "heisenberg": {"t12": 341, "a1": 1519, "a2": 1408, "M": 1527,
-                       "dd_eta3": 662, "q1_minus_p2": 1517, "union": 1540},
-        "cartan": {"t12": 78, "a1": 217, "a2": 1, "M": 218,
-                   "dd_eta3": 1, "q1_minus_p2": 1, "union": 223},
-        "respan": {"t12": 882, "a1": 3828, "a2": 3676, "M": 3836,
-                   "dd_eta3": 2185, "q1_minus_p2": 3826, "union": 3849},
+        "heisenberg": {"t12": 341, "a1": 348, "a2": 190, "M": 361,
+                       "dd_eta3": 1, "q1_minus_p2": 252, "union": 684},
+        "cartan": {"t12": 78, "a1": 60, "a2": 1, "M": 61,
+                   "dd_eta3": 1, "q1_minus_p2": 1, "union": 105},
+        "respan": {"t12": 882, "a1": 654, "a2": 586, "M": 669,
+                   "dd_eta3": 1, "q1_minus_p2": 644, "union": 1498},
     }
 
     @pytest.mark.parametrize("name", list(NODE_BOUNDS))
@@ -519,12 +521,22 @@ class TestUnitTorsionIdentity:
                 assert abs(s.T312 + 1.0) <= 1e-9, (dist.name, s.point)
 
     def test_m_matches_division_by_t12(self, grid):
+        # full_pipeline derives the outputs from the coordinate coframe, reduce
+        # from the generator frame's structure functions: a second derivation.
+        # Both sections share the frame (e1, e2), so a1 and a2 compare too.
         for dist in self.cases():
-            divided = full_pipeline(dist)[3].M
-            for s in reduce(dist, grid).ok_samples():
-                want = divided.evaluate(s.point)
+            coordinate = full_pipeline(dist)[3]
+            rep = reduce(dist, grid)
+            for s in rep.ok_samples():
+                memo = {}
+                want = coordinate.M.evaluate(s.point, memo)
                 # the floor covers round-off where M vanishes (the z-axis)
                 assert abs(s.M - want) <= max(1e-12 * abs(want), 1e-15), (dist.name, s.point)
+                for key in ("a1", "a2", "A1", "A2", "A3"):
+                    got = getattr(rep, key).evaluate(s.point)
+                    want = getattr(coordinate, key).evaluate(s.point, memo)
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (dist.name, key, s.point)
+                assert abs(s.dd_eta3) <= 1e-12 and abs(s.q1_minus_p2) <= 1e-12, (dist.name, s.point)
 
     def test_shared_memo_is_bit_identical(self, grid):
         for dist in self.cases():
