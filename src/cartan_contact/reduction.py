@@ -27,8 +27,8 @@ components.  :func:`reduce` reaches the same B2 section without them: it
 reads the stage coefficients off the structure functions of the generator
 frame (X1, X2, [X1, X2]) and the lower-triangular matrix taking it to the
 B0 frame, so nothing is differentiated beyond the generators' brackets and
-a few scalars.  The coordinate path stays as library API and as a second
-derivation of the same outputs.
+a few scalars.  The coordinate path stays as library API, as a second
+derivation of the same outputs, and for the residual T312 of :func:`reduce`.
 """
 from __future__ import annotations
 
@@ -196,8 +196,8 @@ class InvariantReport(Record):
     a1, a2 individually depend on the residual rotation freedom of the frame;
     only M = a1^2 + a2^2 is invariant.  A1, A2, A3 are the coefficients of the
     absorbed pseudoconnection alpha = A1 eta^1 + A2 eta^2 + A3 eta^3.
-    T312 is the stage-B0 t12 that :func:`reduce` evaluates into each
-    sample's ``T312``; :func:`extract_invariants` leaves it ``None``.
+    T312 is the t12 of the generator frame that :func:`reduce` evaluates
+    into each sample's ``T312``; :func:`extract_invariants` leaves it ``None``.
     """
 
     a1: ScalarField
@@ -303,10 +303,10 @@ def classify(D: Distribution, points) -> Classification:
 
 
 def adapted_from_orthonormal(e1: VectorField, e2: VectorField) -> AdaptedCoframe:
-    """Stage-B0 coframe for an already orthonormal spanning pair.
+    """Frame (e1, e2, [e1, e2]) of a spanning pair with its dual coframe.
 
-    The frame is (e1, e2, [e1, e2]) and the coframe its dual.  Nothing is
-    verified; the frame degenerates where the span is holonomic.
+    Stage B0 if the pair is orthonormal; t12 = -eta^3([e1, e2]) = -1 for any
+    pair.  Nothing is verified; it degenerates where the span is holonomic.
     """
     frame = complete_frame(e1, e2)
     return AdaptedCoframe(dual_coframe(frame), frame, "B0")
@@ -408,12 +408,12 @@ def extract_invariants(A: AdaptedCoframe) -> InvariantReport:
     )
 
 
-def _frame_invariants(D: Distribution) -> InvariantReport:
+def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> InvariantReport:
     """What :func:`extract_invariants` gives on the B2 section that
-    :func:`reduce` reaches, built from the generator frame's structure
-    functions instead of coordinate forms.
+    :func:`reduce` reaches, built from the structure functions of the
+    generator frame X = (X1, X2, X3 = [X1, X2]) instead of coordinate forms.
 
-    X3 = [X1, X2] and [X_i, X_j] = C^k_ij X_k, so C^k_12 = delta^k_3 and
+    [X_i, X_j] = C^k_ij X_k, so C^k_12 = delta^k_3 and
     C^k_i3 = xi^k([X_i, X3]), xi being the coframe dual to X.  The B0 frame
     is e = A X with A lower-triangular: Gram-Schmidt gives the rows
     (alpha, 0, 0) and (beta, gamma, 0), and e3 = [e1, e2], expanded by
@@ -427,7 +427,6 @@ def _frame_invariants(D: Distribution) -> InvariantReport:
     d(d eta3) = 0.  On the e frame the same sum is Q1 - P2 term by term, so
     it would only repeat q1_minus_p2.
     """
-    X = (D.X1, D.X2, commutator(D.X1, D.X2))
     det3 = triple_product(*X)
     xi = (_cross(X[1], X[2]), _cross(X[2], X[0]), _cross(X[0], X[1]))
     zero = as_field(0)
@@ -485,19 +484,17 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     """Run the full reduction over sample points.
 
     The symbolic pipeline is built once, in one intern table, so a structure
-    built twice is one node.  The outputs come from the generator frame's
-    structure functions (:func:`_frame_invariants`): the Gram-Schmidt B0
-    frame that :func:`build_adapted` also builds, the exact scale -1 to
-    stage B1 (its t12 is -1 by duality, see the module docstring) and the
-    B2 translations, in closed form.  ``dd_eta3`` is the generator frame's
-    form of d(d eta3) = 0, its l = 3 Jacobi sum; ``q1_minus_p2`` is
-    Q1 - P2.  The B0 t12 is still built
-    on the coordinate path, by :func:`build_adapted` and
-    :func:`contact_torsion`, evaluated at each point as
-    ``SampleRecord.T312``, a residual for that identity sharing no formula
-    with the outputs, and returned as the report's ``T312`` field.  Each
-    point's six evaluations share one memo, so subtrees they share are
-    computed once per point.
+    built twice is one node.  The outputs come from the structure functions
+    of the generator frame (X1, X2, [X1, X2]) (:func:`_frame_invariants`):
+    the Gram-Schmidt B0 frame, the exact scale -1 to stage B1 and the B2
+    translations, in closed form.  ``dd_eta3`` is the generator frame's form
+    of d(d eta3) = 0, its l = 3 Jacobi sum; ``q1_minus_p2`` is Q1 - P2.
+    ``T312`` is :func:`contact_torsion`'s t12 of the same frame and its dual
+    coframe xi (:func:`adapted_from_orthonormal`), (d xi^3)(X1, X2) on the
+    coordinate path: -xi^3([X1, X2]) = -1 by duality, a residual for the
+    C^k_12 = delta^k_3 that the outputs apply exactly.  Each point's six
+    evaluations share one memo, so subtrees they share are computed once
+    per point.
 
     :func:`classify` runs first and is the pipeline's only gate: a holonomic
     or mixed classification raises :class:`HolonomicError` or
@@ -515,8 +512,9 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
             raise HolonomicError(cls)
         if cls.kind == "mixed":
             raise MixedTypeError(cls)
-        t12_b0 = contact_torsion(build_adapted(D)).t12
-        inv = _frame_invariants(D)
+        section = adapted_from_orthonormal(D.X1, D.X2)
+        t12 = contact_torsion(section).t12
+        inv = _frame_invariants(section.frame.fields)
 
     samples = []
     for rec in cls.records:
@@ -531,7 +529,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
         memo: dict = {}   # shared by the six outputs at this point
         t312 = None
         try:
-            t312 = t12_b0.evaluate(p, memo)
+            t312 = t12.evaluate(p, memo)
             a1, a2, m, dd, q1p2 = (f.evaluate(p, memo) for f in
                                    (inv.a1, inv.a2, inv.M, inv.dd_eta3, inv.q1_minus_p2))
         except DomainError:
@@ -542,7 +540,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
         status = "ok" if abs(dd) <= identity_tol and abs(q1p2) <= identity_tol else "singular"
         samples.append(SampleRecord(p, status, det3=det3, T312=t312,
                                     a1=a1, a2=a2, M=m, dd_eta3=dd, q1_minus_p2=q1p2))
-    return replace(inv, T312=t12_b0, samples=tuple(samples), classification=cls)
+    return replace(inv, T312=t12, samples=tuple(samples), classification=cls)
 
 
 def compare(D1: Distribution, D2: Distribution, points,

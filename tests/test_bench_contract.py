@@ -49,3 +49,13 @@ def test_reduce_span_shape(heisenberg):
     torsions = [tracer.torsions[i][1] for i in tracer.torsions if tracer.spans[i][3] == top]
     assert len(torsions) == 1 and torsions[0].t12 is report.T312
     assert list(tracer.reduces) == [top]
+    # that t12 is taken on the generator frame (X1, X2, [X1, X2]) the outputs
+    # reduce on; no Gram-Schmidt section is built under reduce
+    (section,), _ = next(tracer.torsions[i] for i in tracer.torsions if tracer.spans[i][3] == top)
+    assert section.frame.e1 is heisenberg.X1 and section.frame.e2 is heisenberg.X2
+    under = {top}
+    for i, span in enumerate(tracer.spans):
+        if span[3] in under:
+            under.add(i)
+    below = {tracer.spans[i][0] for i in under}
+    assert not below & {"reduction.build_adapted", "forms.gram_schmidt"}

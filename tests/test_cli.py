@@ -455,7 +455,7 @@ class TestCorpus:
         rows = {l.split("\t")[1]: l.split("\t") for l in lines if l.startswith("row\t")}
         assert set(rows) == {"heisenberg", "cartan", "exercise1a"}
         assert rows["heisenberg"][2] == "contact"
-        assert rows["heisenberg"][3] == "1"       # |T312| of the adapted section
+        assert rows["heisenberg"][3] == "1"       # |T312| of the generator frame
         assert rows["cartan"][3] == "1"
         assert rows["exercise1a"][2] == "holonomic"
         assert rows["exercise1a"][3] == "-"       # no torsion for holonomic rows

@@ -43,9 +43,16 @@ from cartan_contact.scalarfield import as_field
 from helpers import rand_points, reachable
 
 ORIGIN = Point(0.0, 0.0, 0.0)
+THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
 
 M_HEISENBERG = lambda x, y, z: 2.25 * (x * x + y * y) ** 2 / (1 + x * x + y * y) ** 4
 M_CARTAN = lambda x, y, z: 0.25 * (2 * y * y - 1) ** 2 / (1 + y * y) ** 4
+
+
+def respan_pd(dist):
+    """X1' = f X1 + g X2, X2' = h X1 + k X2 with point-dependent f, g, h, k."""
+    f, g, h, k = (as_field(t) for t in ("1 + 0.3*x*y", "0.2*z", "-0.1*x^2", "1 - 0.2*y"))
+    return Distribution(f * dist.X1 + g * dist.X2, h * dist.X1 + k * dist.X2, name="respan-pd")
 
 
 def full_pipeline(dist):
@@ -493,12 +500,12 @@ class TestUnitTorsionIdentity:
     # distinct nodes of each output and of their union, as counted when these
     # bounds were set; a change may lower them, never raise them
     NODE_BOUNDS = {
-        "heisenberg": {"t12": 341, "a1": 348, "a2": 190, "M": 361,
-                       "dd_eta3": 1, "q1_minus_p2": 252, "union": 684},
-        "cartan": {"t12": 78, "a1": 60, "a2": 1, "M": 61,
-                   "dd_eta3": 1, "q1_minus_p2": 1, "union": 105},
-        "respan": {"t12": 882, "a1": 654, "a2": 586, "M": 669,
-                   "dd_eta3": 1, "q1_minus_p2": 644, "union": 1498},
+        "heisenberg": {"t12": 1, "a1": 348, "a2": 190, "M": 361,
+                       "dd_eta3": 1, "q1_minus_p2": 252, "union": 383},
+        "cartan": {"t12": 1, "a1": 60, "a2": 1, "M": 61,
+                   "dd_eta3": 1, "q1_minus_p2": 1, "union": 63},
+        "respan": {"t12": 1, "a1": 654, "a2": 586, "M": 669,
+                   "dd_eta3": 1, "q1_minus_p2": 644, "union": 682},
     }
 
     @pytest.mark.parametrize("name", list(NODE_BOUNDS))
@@ -519,6 +526,17 @@ class TestUnitTorsionIdentity:
             assert rep.n_ok == len(grid)
             for s in rep.ok_samples():
                 assert abs(s.T312 + 1.0) <= 1e-9, (dist.name, s.point)
+
+    def test_t312_is_the_generator_frame_t12(self, heisenberg, grid):
+        # T312 is t12 of the section the outputs reduce on, (X1, X2, [X1, X2])
+        # and its dual coframe, bit for bit; where the generators' brackets
+        # are constant it folds to -1, so respan-pd is the case that shows it
+        dist = respan_pd(heisenberg)
+        t12 = contact_torsion(adapted_from_orthonormal(dist.X1, dist.X2)).t12
+        rep = reduce(dist, THREE_POINTS + grid)
+        assert rep.n_ok == len(THREE_POINTS + grid)
+        for s in rep.ok_samples():
+            assert s.T312.hex() == t12.evaluate(s.point).hex(), s.point
 
     def test_m_matches_division_by_t12(self, grid):
         # full_pipeline derives the outputs from the coordinate coframe, reduce
@@ -587,8 +605,6 @@ class TestInvariance:
                 got = inv.M.evaluate(point)
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
-    THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
-
     @staticmethod
     def assert_same_m(got, want):
         assert [s.status for s in got.samples] == ["ok"] * len(got.samples)
@@ -597,11 +613,8 @@ class TestInvariance:
             assert abs(s.M - w.M) <= 1e-12 * max(1.0, abs(w.M)), (s.point, w.point)
 
     def test_point_dependent_respan_invariance(self, heisenberg):
-        f, g, h, k = (as_field(t) for t in ("1 + 0.3*x*y", "0.2*z", "-0.1*x^2", "1 - 0.2*y"))
-        X1, X2 = heisenberg.X1, heisenberg.X2
-        respanned = Distribution(f * X1 + g * X2, h * X1 + k * X2, name="respan-pd")
-        self.assert_same_m(reduce(respanned, self.THREE_POINTS),
-                           reduce(heisenberg, self.THREE_POINTS))
+        self.assert_same_m(reduce(respan_pd(heisenberg), THREE_POINTS),
+                           reduce(heisenberg, THREE_POINTS))
 
     def test_rigid_motion_invariance(self, heisenberg):
         # phi(p) = R p + s pushes X forward to X'(q) = R X(R^T (q - s)), so
@@ -626,8 +639,8 @@ class TestInvariance:
 
         moved = Distribution(push(X1), push(X2), name="motion")
         images = [Point(*(sum(R[i][j] * c for j, c in enumerate(p)) + shift[i] for i in range(3)))
-                  for p in self.THREE_POINTS]
-        self.assert_same_m(reduce(moved, images), reduce(heisenberg, self.THREE_POINTS))
+                  for p in THREE_POINTS]
+        self.assert_same_m(reduce(moved, images), reduce(heisenberg, THREE_POINTS))
 
 
 class TestCompare:

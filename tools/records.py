@@ -13,6 +13,10 @@ Run it in two checkouts and diff the outputs: they are deterministic, so any
 difference is a change in behaviour.  ``tests/golden/records.txt`` holds the
 record lines, which Tier-1 and CI diff against this script's output; the
 node-count lines are left out there, since a correct change may lower them.
+A change that moves a record on purpose regenerates it with
+
+    python3 tools/records.py | grep -v '^nodes ' > tests/golden/records.txt
+
 Uses the standard library only; the package is imported from ``src/`` and
 ``bench/cases.py`` and ``bench/spans.py`` are only read.
 """
