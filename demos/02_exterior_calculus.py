@@ -11,6 +11,7 @@ from cartan_contact import (
     apply_two_form,
     commutator,
     complete_frame,
+    dot,
     dual_coframe,
     exterior_derivative,
     exterior_derivative2,
@@ -34,7 +35,7 @@ print("[X1, X2] at a few points:",
 
 eta = OneForm("y", "-x", "1")
 print("eta(X1), eta(X2) at (1,2,3):",
-      eta(X1)((1, 2, 3)), eta(X2)((1, 2, 3)))
+      dot(eta, X1)((1, 2, 3)), dot(eta, X2)((1, 2, 3)))
 d_eta = exterior_derivative(eta)
 print("d eta in (dy^dz, dz^dx, dx^dy):", d_eta.at((1, 2, 3)))
 print("d(d eta) =", exterior_derivative2(d_eta)((1, 2, 3)))
@@ -55,7 +56,7 @@ print("eta3 at origin:", coframe.eta3.at((0, 0, 0)))
 # is defined.
 
 p = (0.4, -1.1, 2.0)
-pairing = [[round(etai(ej).evaluate(p), 12)
+pairing = [[round(dot(etai, ej).evaluate(p), 12)
             for ej in frame.fields] for etai in coframe.forms]
 for row in pairing:
     print(row)

@@ -8,8 +8,9 @@ coefficients in the coordinate bases:
 * 2-forms in the cyclic basis (dy^dz, dz^dx, dx^dy),
 * 3-forms as their dx^dy^dz coefficient, a plain ScalarField.
 
-The cyclic order is fixed once, in the cross product ``_cross`` behind the
-determinant, the dual coframe, :func:`wedge` and :func:`apply_two_form`.
+The cyclic order is fixed once, in the cross product ``_cross`` behind
+:func:`triple_product`, the dual coframe, :func:`wedge` and
+:func:`apply_two_form`.
 
 All objects are immutable and all operations are pure; coefficients are never
 canonicalised symbolically, so identities (d o d = 0, duality, Leibniz) are
@@ -36,7 +37,6 @@ __all__ = [
     "exterior_derivative",
     "exterior_derivative2",
     "wedge",
-    "wedge21",
     "apply_two_form",
     "structure_coefficients",
     "pairing_matrix",
@@ -78,9 +78,6 @@ class _Triple:
         f = as_field(scalar)
         return type(self)(*(c / f for c in self.components))
 
-    def __neg__(self):
-        return type(self)(*(-c for c in self.components))
-
     def __repr__(self):
         inner = ", ".join(c._short_text(limit=24) for c in self.components)
         return f"{type(self).__name__}({inner})"
@@ -96,10 +93,6 @@ class OneForm(_Triple):
     """1-form with coefficients of (dx, dy, dz)."""
 
     __slots__ = ()
-
-    def __call__(self, X: VectorField) -> ScalarField:
-        """Pairing with a vector field."""
-        return dot(self, X)
 
 
 class TwoForm(_Triple):
@@ -168,12 +161,6 @@ class Frame(Record):
     def fields(self) -> tuple[VectorField, VectorField, VectorField]:
         return (self.e1, self.e2, self.e3)
 
-    def determinant(self) -> ScalarField:
-        return triple_product(self.e1, self.e2, self.e3)
-
-    def at(self, point):
-        return tuple(e.at(point) for e in self.fields)
-
 
 class Coframe(Record):
     """Ordered triple of 1-forms, dual to a frame via the 3x3 pairing."""
@@ -185,9 +172,6 @@ class Coframe(Record):
     @property
     def forms(self) -> tuple[OneForm, OneForm, OneForm]:
         return (self.eta1, self.eta2, self.eta3)
-
-    def at(self, point):
-        return tuple(f.at(point) for f in self.forms)
 
 
 def complete_frame(e1: VectorField, e2: VectorField) -> Frame:
@@ -241,14 +225,16 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
     return _cross(alpha, beta, TwoForm)
 
 
-def wedge21(omega: TwoForm, alpha: OneForm) -> ScalarField:
-    """Wedge of a 2-form with a 1-form, as its dx^dy^dz coefficient."""
-    return dot(omega, alpha)
-
-
 def apply_two_form(omega: TwoForm, X: VectorField, Y: VectorField) -> ScalarField:
     """omega(X, Y); antisymmetric, and equals a(X)b(Y) - a(Y)b(X) for omega = a^b."""
     return dot(omega, _cross(X, Y))
+
+
+def _row(eta: OneForm, F: Frame):
+    """(c_23, c_31, c_12) with c_ab = (d eta)(e_a, e_b) on F = (e1, e2, e3)."""
+    e1, e2, e3 = F.fields
+    d = exterior_derivative(eta)
+    return apply_two_form(d, e2, e3), apply_two_form(d, e3, e1), apply_two_form(d, e1, e2)
 
 
 def structure_coefficients(C: Coframe, F: Frame):
@@ -258,18 +244,9 @@ def structure_coefficients(C: Coframe, F: Frame):
     so that d eta^i = c^i_23 eta^2^eta^3 + c^i_31 eta^3^eta^1 + c^i_12 eta^1^eta^2
     whenever F is the dual frame of C.
     """
-    e1, e2, e3 = F.fields
-    rows = []
-    for eta in C.forms:
-        d = exterior_derivative(eta)
-        rows.append((
-            apply_two_form(d, e2, e3),
-            apply_two_form(d, e3, e1),
-            apply_two_form(d, e1, e2),
-        ))
-    return tuple(rows)
+    return tuple(_row(eta, F) for eta in C.forms)
 
 
 def pairing_matrix(C: Coframe, F: Frame):
     """3x3 ScalarField table eta^i(e_j); identity exactly when C, F are dual."""
-    return tuple(tuple(eta(e) for e in F.fields) for eta in C.forms)
+    return tuple(tuple(dot(eta, e) for e in F.fields) for eta in C.forms)

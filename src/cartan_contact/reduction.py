@@ -39,6 +39,7 @@ from .forms import (
     Frame,
     VectorField,
     _cross,
+    _row,
     commutator,
     complete_frame,
     differential,
@@ -48,7 +49,6 @@ from .forms import (
     exterior_derivative2,
     gram_schmidt,
     norm,
-    structure_coefficients,
     triple_product,
 )
 
@@ -328,13 +328,12 @@ def build_adapted(D: Distribution) -> AdaptedCoframe:
 
 
 def contact_torsion(A: AdaptedCoframe) -> TorsionSlice:
-    """Row 3 of the structure coefficients: the d(eta^3) expansion.
+    """The d(eta^3) expansion, row 3 of the structure coefficients.
 
-    Builds in the open intern table, or in one of its own when none is open.
+    Builds that row alone, in the open intern table or in one of its own.
     """
     with _interning():
-        rows = structure_coefficients(A.coframe, A.frame)
-    return TorsionSlice(*rows[2])
+        return TorsionSlice(*_row(A.coframe.eta3, A.frame))
 
 
 def normalize_scale(A: AdaptedCoframe) -> AdaptedCoframe:
@@ -389,9 +388,8 @@ def extract_invariants(A: AdaptedCoframe) -> InvariantReport:
     """
     if A.stage != "B2":
         raise ValueError(f"extract_invariants expects stage B2, got {A.stage}")
-    rows = structure_coefficients(A.coframe, A.frame)
-    p1, q1, r1 = rows[0]
-    p2, q2, r2 = rows[1]
+    p1, q1, r1 = _row(A.coframe.eta1, A.frame)
+    p2, q2, r2 = _row(A.coframe.eta2, A.frame)
     a1 = (p1 - q2) / 2
     a2 = q1
     m = a1 * a1 + a2 * a2
@@ -501,10 +499,11 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     :class:`MixedTypeError`, with the :class:`Classification` attached;
     individual points where any stage is undefined or where |det3| falls
     below the per-point threshold are marked (statuses ``singular`` and
-    ``holonomic-at-point``) and excluded from aggregates.  The contact
-    torsion needs no threshold of its own: wherever T312 is defined it is
-    -1.  A q1 - p2 residual beyond 1e-6 max(1, |a1|, |a2|) at an otherwise
-    healthy point raises :class:`ConsistencyError`: the identity is exact.
+    ``holonomic-at-point``) and excluded from aggregates.  T312 is -1 by
+    duality, but it differentiates xi^3 = X1 x X2 / det3, so its rounding
+    grows like 1/det3^2; no status reads it.  A q1 - p2 residual beyond
+    1e-6 max(1, |a1|, |a2|) at an otherwise healthy point raises
+    :class:`ConsistencyError`: the identity is exact.
     """
     with _interning():
         cls = classify(D, [p if isinstance(p, Point) else Point(*p) for p in points])
