@@ -422,8 +422,8 @@ def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> Invari
     Q_i = -c^i_31 + e1(t_i), where (t_1, t_2) = (t23, t31).
 
     dd_eta3 is the l = 3 Jacobi sum of the generator frame, its form of
-    d(d eta3) = 0.  On the e frame the same sum is Q1 - P2 term by term, so
-    it would only repeat q1_minus_p2.
+    d(d eta3) = 0, and scales like |X1||X2|; on the e frame the same sum is
+    Q1 - P2 term by term, which is scale-free and alone decides a status.
     """
     det3 = triple_product(*X)
     xi = (_cross(X[1], X[2]), _cross(X[2], X[0]), _cross(X[0], X[1]))
@@ -496,14 +496,14 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
 
     :func:`classify` runs first and is the pipeline's only gate: a holonomic
     or mixed classification raises :class:`HolonomicError` or
-    :class:`MixedTypeError`, with the :class:`Classification` attached;
-    individual points where any stage is undefined or where |det3| falls
-    below the per-point threshold are marked (statuses ``singular`` and
-    ``holonomic-at-point``) and excluded from aggregates.  T312 is -1 by
-    duality, but it differentiates xi^3 = X1 x X2 / det3, so its rounding
-    grows like 1/det3^2; no status reads it.  A q1 - p2 residual beyond
-    1e-6 max(1, |a1|, |a2|) at an otherwise healthy point raises
-    :class:`ConsistencyError`: the identity is exact.
+    :class:`MixedTypeError`, with the :class:`Classification` attached.
+    Points where a stage is undefined are ``singular``, those where |det3|
+    falls below the per-point threshold ``holonomic-at-point``, and the rest
+    ``ok`` exactly when |q1 - p2| <= ``identity_tol``; only ``ok`` points
+    enter aggregates.  No status reads T312 (its rounding grows like
+    1/det3^2) or ``dd_eta3`` (it scales like |X1||X2| under X_i -> c X_i,
+    which leaves M unchanged).  :class:`ConsistencyError` is raised where
+    q1 - p2 is defined and beyond 1e-6 max(1, |a1|, |a2|): it is exact.
     """
     with _interning():
         cls = classify(D, [p if isinstance(p, Point) else Point(*p) for p in points])
@@ -536,7 +536,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
             continue
         if abs(q1p2) > CONSISTENCY_TOL * max(1.0, abs(a1), abs(a2)):
             raise ConsistencyError(p, q1p2)
-        status = "ok" if abs(dd) <= identity_tol and abs(q1p2) <= identity_tol else "singular"
+        status = "ok" if abs(q1p2) <= identity_tol else "singular"
         samples.append(SampleRecord(p, status, det3=det3, T312=t312,
                                     a1=a1, a2=a2, M=m, dd_eta3=dd, q1_minus_p2=q1p2))
     return replace(inv, T312=t12, samples=tuple(samples), classification=cls)

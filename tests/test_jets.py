@@ -119,3 +119,43 @@ def test_random_polynomials_match_jets():
         assert abs(s.T312 + 1.0) <= 1e-9, s.T312
 
     check()
+
+
+def test_random_polynomials_scale_covariantly():
+    # the inputs of test_random_polynomials_match_jets, each reduced again
+    # with both generators multiplied by 2^k, which moves no record field
+    # but det3 (by 2^(4k)) and dd_eta3 (by 2^(2k)); no jets are compared
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    term = st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * 3))
+    poly = st.tuples(st.integers(-2, 2), st.lists(term, max_size=3))
+    coordinate = st.floats(-1.0, 1.0)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+    @hypothesis.given(components=st.lists(poly, min_size=6, max_size=6),
+                      point=st.tuples(coordinate, coordinate, coordinate),
+                      k=st.integers(-40, 40))
+    def check(components, point, k):
+        polys = [[(c, (0, 0, 0)), *terms] for c, terms in components]
+
+        def fields(x, y, z):
+            values = [polynomial(terms, x, y, z) for terms in polys]
+            return tuple(values[:3]), tuple(values[3:])
+
+        for X in fields(*point):
+            hypothesis.assume(0.1 <= math.hypot(*X) <= 100.0)
+        dist = Distribution.from_components(*fields(*(scalarfield.as_field(v) for v in "xyz")))
+        try:
+            (rec,) = classify(dist, [point]).records
+        except DegenerateInput:
+            hypothesis.reject()
+        hypothesis.assume(rec.status == "contact" and abs(rec.det3) > 1e-3 * rec.scale)
+        (s,) = reduce(dist, [point]).samples
+        hypothesis.assume(s.status == "ok")
+        c = 2.0 ** k
+        (t,) = reduce(Distribution(dist.X1 * c, dist.X2 * c), [point]).samples
+        same = lambda r: (r.point, r.status, r.T312, r.a1, r.a2, r.M, r.q1_minus_p2)
+        assert same(t) == same(s), k
+        assert (t.det3, t.dd_eta3) == (s.det3 * c ** 4, s.dd_eta3 * c ** 2), k
+
+    check()

@@ -640,6 +640,28 @@ class TestInvariance:
         self.assert_same_m(reduce(respan_pd(heisenberg), THREE_POINTS),
                            reduce(heisenberg, THREE_POINTS))
 
+    @pytest.mark.parametrize("k", [1, -1, 14, -14, 40, -40])
+    @pytest.mark.parametrize("name", ["respan-pd", "near-holonomic-band"])
+    def test_constant_scaling_is_exact(self, heisenberg, name, k):
+        # X_i -> 2^k X_i changes neither the plane field nor its metric, and
+        # in binary floating point every product and quotient scales exactly:
+        # no record moves but det3 (degree 4 in the generators) and dd_eta3
+        # (the generator frame's Jacobi sum, degree 2)
+        if name == "respan-pd":
+            dist, points = respan_pd(heisenberg), THREE_POINTS
+        else:   # test_near_holonomic_band's input, one point holonomic-at-point
+            dist = Distribution.from_components(("1", "0", "0"), ("0", "1", "300000000*x"))
+            points = [Point(0.0, 0.0, 0.0), Point(1.0, 0.0, 0.0), Point(0.01, 0.0, 0.0)]
+        c = 2.0 ** k
+        base = reduce(dist, points).samples
+        scaled = reduce(Distribution(dist.X1 * c, dist.X2 * c), points).samples
+        assert len(scaled) == len(base)
+        same = lambda s: (s.point, s.status, s.T312, s.a1, s.a2, s.M, s.q1_minus_p2)
+        for s, b in zip(scaled, base):
+            assert same(s) == same(b)
+            assert s.det3 == b.det3 * c ** 4
+            assert s.dd_eta3 == (None if b.dd_eta3 is None else b.dd_eta3 * c ** 2)
+
     def test_rigid_motion_invariance(self, heisenberg):
         # phi(p) = R p + s pushes X forward to X'(q) = R X(R^T (q - s)), so
         # M' at phi(p) equals M at p
