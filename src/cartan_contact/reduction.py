@@ -78,8 +78,8 @@ __all__ = [
     "grid_axis",
 ]
 
-# relative threshold of classify: an area or det3 at or below this times its
-# scale counts as vanished
+# threshold of classify: a sine at or below it, or a det3 at or below it
+# times its scale, counts as vanished
 _DEGENERACY_RTOL = 1e-9
 # per-point threshold of the sampling policy in reduce
 POINT_HOLONOMIC_RTOL = 1e-8
@@ -258,10 +258,11 @@ def classify(D: Distribution, points) -> Classification:
     """Per-point holonomicity of span{X1, X2} from det(X1, X2, [X1, X2]).
 
     A point is holonomic when |det3| <= 1e-9 * |X1| |X2| |[X1, X2]|, and
-    undefined where a field is undefined or the area test overflows.  Raises
-    :class:`DegenerateInput` where the generators are linearly dependent, or
-    when they are undefined at every point.  This is the library's only
-    per-point degeneracy check; the stage builders only construct.
+    undefined where a field cannot be evaluated.  Raises
+    :class:`DegenerateInput` where the generators are linearly dependent (|X1|
+    or |X2| is 0, or the sine |X1/|X1| x X2/|X2|| is <= 1e-9), or when they
+    are undefined at every point.  This is the library's only per-point
+    degeneracy check; the stage builders only construct.
     """
     points = list(points)
     if not points:
@@ -271,20 +272,18 @@ def classify(D: Distribution, points) -> Classification:
     n1 = norm(D.X1)
     n2 = norm(D.X2)
     nb = norm(bracket)
-    g12 = dot(D.X1, D.X2)
+    sine = norm(_cross(D.X1 / n1, D.X2 / n2))
     records = []
     for p in points:
         memo: dict = {}   # shared by the five fields at this point
         try:
             v1 = n1.evaluate(p, memo)
             v2 = n2.evaluate(p, memo)
-            g = g12.evaluate(p, memo)
-            area_sq = v1 * v1 * v2 * v2 - g * g
-            if area_sq <= (_DEGENERACY_RTOL * v1 * v2) ** 2:
+            if v1 == 0 or v2 == 0 or sine.evaluate(p, memo) <= _DEGENERACY_RTOL:
                 raise DegenerateInput("generators are linearly dependent", p)
             vb = nb.evaluate(p, memo)
             d = det3.evaluate(p, memo)
-        except (DomainError, OverflowError):
+        except DomainError:
             records.append(PointClassification(p, "undefined", None, None))
             continue
         scale = v1 * v2 * vb

@@ -7,8 +7,22 @@ from __future__ import annotations
 
 import random
 
+from cartan_contact import corpus
 from cartan_contact import scalarfield as sf
 from cartan_contact.forms import VectorField
+from cartan_contact.reduction import Distribution, Point
+
+# "the three points" of the suite and of ROADMAP.md
+THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
+
+
+def respan_pd() -> Distribution:
+    """"respan-pd": heisenberg's generators respanned point by point,
+    X1' = f X1 + g X2, X2' = h X1 + k X2."""
+    heisenberg = corpus.distribution("heisenberg")
+    X1, X2 = heisenberg.X1, heisenberg.X2
+    f, g, h, k = (sf.as_field(t) for t in ("1 + 0.3*x*y", "0.2*z", "-0.1*x^2", "1 - 0.2*y"))
+    return Distribution(f * X1 + g * X2, h * X1 + k * X2, name="respan-pd")
 
 
 def fd_partial(f, p, k, h=1e-5):

@@ -59,19 +59,22 @@ EDGE_FIELDS = {
     "exp": (("1", "0", "-y"), ("0", "1", "exp(x)")),
     "sqrt": (("1", "0", "-y"), ("0", "1", "sqrt(x)")),
     "scaled-1e-200": (("1e-200", "0", "-1e-200*y"), ("0", "1e-200", "1e-200*x")),
+    "parallel": (("1", "0", "-y"), ("2", "0", "-2*y")),
 }
 AT = "[[0.5,0.5,0.3]]"
 UNDEFINED = "error: generators undefined at every sampled point\n"
 # argv, exit code (None: any of 0, 1, 2) and the exact stderr (None: any)
 EDGE_RUNS = {
-    "overflow-1e85": (("analyze", "overflow-1e85", "--points", AT), 1, UNDEFINED),
+    "overflow-1e85": (("analyze", "overflow-1e85", "--points", AT), 0, ""),
     "overflow-1e150": (("analyze", "overflow-1e150", "--points", AT), 1, UNDEFINED),
     "large-1e80": (("analyze", "large-1e80", "--points", AT), 0, ""),
     "power-1000-at-2": (("analyze", "power-1000", "--points", "[[2,0,0.3]]"), 1, UNDEFINED),
     "exp-at-700": (("analyze", "exp", "--points", "[[700,0,0.3]]"), 1, UNDEFINED),
     "sqrt-at-0": (("analyze", "sqrt", "--points", "[[0,0,0.3]]"), 1, UNDEFINED),
-    # |X1|^2 |X2|^2 underflows to 0 here, so the verdict is left open
+    # |X1|^2 underflows to 0 here, so |X1| reads 0 and the verdict is left open
     "scaled-1e-200": (("analyze", "scaled-1e-200", "--points", AT), None, None),
+    "parallel": (("analyze", "parallel", "--points", AT), 1,
+                 "error: generators are linearly dependent at point (0.5, 0.5, 0.3)\n"),
     "far-point": (("analyze", "heisenberg", "--points", "[[1e200,0,0]]"), 1, UNDEFINED),
     "compare-overflow": (("compare", "heisenberg", "overflow-1e150", "--points", AT),
                          1, UNDEFINED),

@@ -7,8 +7,10 @@ the expression DAG, which a correct change may alter; cartan's residuals are
 exactly 0.
 
 ``records.txt`` holds the ``SampleRecord`` lines that ``tools/records.py``
-printed when it was recorded; the script's node-count lines are left out,
-since a correct change may lower them.
+printed when it was recorded, and ``nodes.txt`` its ``nodes`` lines: the
+distinct DAG nodes of each output of ``reduce`` and of their union, per
+distribution.  The records must match; a correct change may lower a node
+count, never raise it.
 """
 from __future__ import annotations
 
@@ -46,9 +48,33 @@ def test_cli_output_matches_golden(capsys, case, argv, code):
     assert captured.err == (GOLDEN / f"{case}.err").read_text()
 
 
-def test_differential_records_match_golden():
+@pytest.fixture(scope="module")
+def records_output() -> list[str]:
     script = GOLDEN.parent.parent / "tools" / "records.py"
-    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                         check=True).stdout
-    records = [line for line in out.splitlines() if not line.startswith("nodes ")]
+    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          check=True).stdout.splitlines()
+
+
+def test_differential_records_match_golden(records_output):
+    records = [line for line in records_output if not line.startswith("nodes ")]
     assert records == (GOLDEN / "records.txt").read_text().splitlines()
+
+
+def parse_nodes(lines) -> list[tuple[str, dict[str, int]]]:
+    """``nodes <label>: <output> <count> ...`` lines as (label, counts) pairs."""
+    out = []
+    for line in lines:
+        label, counts = line.removeprefix("nodes ").split(": ")
+        words = counts.split()
+        out.append((label, {key: int(n) for key, n in zip(words[::2], words[1::2])}))
+    return out
+
+
+def test_node_counts_do_not_rise(records_output):
+    got = parse_nodes(line for line in records_output if line.startswith("nodes "))
+    want = parse_nodes((GOLDEN / "nodes.txt").read_text().splitlines())
+    assert [(label, list(counts)) for label, counts in got] == \
+        [(label, list(bound)) for label, bound in want]
+    risen = [(label, key, n, bound[key]) for (label, counts), (_, bound) in zip(got, want)
+             for key, n in counts.items() if n > bound[key]]
+    assert not risen, risen

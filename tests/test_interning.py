@@ -27,20 +27,12 @@ from cartan_contact.reduction import (
     contact_torsion,
     reduce,
 )
-from cartan_contact.scalarfield import DomainError, as_field, exp, parse, sqrt
-from helpers import reachable
+from cartan_contact.scalarfield import DomainError, exp, parse, sqrt
+from helpers import THREE_POINTS, reachable, respan_pd
 
-THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
 # det3 = exp(x) + 1, nowhere zero
 EXP_CASE = (("1", "0", "-y"), ("0", "1", "exp(x)"))
 OUTPUTS = ("T312", "a1", "a2", "M", "A1", "A2", "A3", "dd_eta3", "q1_minus_p2")
-
-
-def respan_pd() -> Distribution:
-    heisenberg = corpus.distribution("heisenberg")
-    X1, X2 = heisenberg.X1, heisenberg.X2
-    f, g, h, k = (as_field(t) for t in ("1 + 0.3*x*y", "0.2*z", "-0.1*x^2", "1 - 0.2*y"))
-    return Distribution(f * X1 + g * X2, h * X1 + k * X2, name="respan-pd")
 
 
 class TestNoCycles:

@@ -14,9 +14,8 @@ import pytest
 
 import jets
 from cartan_contact import scalarfield
-from cartan_contact.reduction import DegenerateInput, Distribution, Point, classify, reduce
-
-THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
+from cartan_contact.reduction import DegenerateInput, Distribution, classify, reduce
+from helpers import THREE_POINTS
 
 
 def heisenberg(x, y, z, fn):

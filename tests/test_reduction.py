@@ -41,19 +41,12 @@ from cartan_contact.reduction import (
 )
 from cartan_contact import corpus, forms, reduction, replace
 from cartan_contact.scalarfield import as_field
-from helpers import rand_points, reachable
+from helpers import THREE_POINTS, rand_points, respan_pd
 
 ORIGIN = Point(0.0, 0.0, 0.0)
-THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
 
 M_HEISENBERG = lambda x, y, z: 2.25 * (x * x + y * y) ** 2 / (1 + x * x + y * y) ** 4
 M_CARTAN = lambda x, y, z: 0.25 * (2 * y * y - 1) ** 2 / (1 + y * y) ** 4
-
-
-def respan_pd(dist):
-    """X1' = f X1 + g X2, X2' = h X1 + k X2 with point-dependent f, g, h, k."""
-    f, g, h, k = (as_field(t) for t in ("1 + 0.3*x*y", "0.2*z", "-0.1*x^2", "1 - 0.2*y"))
-    return Distribution(f * dist.X1 + g * dist.X2, h * dist.X1 + k * dist.X2, name="respan-pd")
 
 
 def count_exterior_derivatives(monkeypatch):
@@ -128,11 +121,31 @@ class TestClassify:
         assert statuses[-0.5] == "holonomic"
         assert statuses[1.0] == "contact"
 
-    def test_dependent_generators_rejected(self, grid):
-        X = VectorField("1", "x", "0")
-        dep = Distribution(X, 3 * X)
-        with pytest.raises(DegenerateInput):
-            classify(dep, grid)
+    AT = [Point(0.5, 0.5, 0.3)]
+    # (X1, X2, points); in the last three the squared area
+    # |X1|^2 |X2|^2 - (X1 . X2)^2 is lost to rounding or to inf - inf
+    DEPENDENT = {
+        "x-times-3": (("1", "x", "0"), ("3", "3*x", "0"), default_grid_points()),
+        "parallel": (("1", "0", "-y"), ("2", "0", "-2*y"), AT),
+        "parallel-1e80": (("1e80", "0", "0"), ("2e80", "0", "0"), AT),
+        "steep-1e80": (("1", "0", "-1e80*y"), ("0", "1", "1e80*x"), AT),
+    }
+
+    @pytest.mark.parametrize("name", DEPENDENT)
+    def test_dependent_generators_rejected(self, name):
+        x1, x2, points = self.DEPENDENT[name]
+        with pytest.raises(DegenerateInput, match="linearly dependent"):
+            classify(Distribution.from_components(x1, x2), points)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e80])
+    def test_parallel_constant_pairs_rejected(self, magnitude):
+        rng = random.Random(22)
+        for _ in range(200):
+            x1 = [rng.uniform(-1.0, 1.0) * magnitude for _ in range(3)]
+            c = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 10.0)
+            dist = Distribution.from_components(x1, [c * v for v in x1])
+            with pytest.raises(DegenerateInput, match="linearly dependent"):
+                classify(dist, [Point(0.1, 0.2, 0.3)])
 
     def test_empty_points_rejected(self, heisenberg):
         with pytest.raises(ValueError):
@@ -225,7 +238,7 @@ class TestContactTorsion:
             assert t.t12.evaluate(p) == pytest.approx(-1.0, abs=1e-9)
         # the d(eta3) row alone, bit for bit the third structure row; on the
         # respan-pd B0 section its brackets do not fold to constants
-        A = build_adapted(respan_pd(heisenberg))
+        A = build_adapted(respan_pd())
         t = contact_torsion(A)
         row = structure_coefficients(A.coframe, A.frame)[2]
         for p in THREE_POINTS:
@@ -521,29 +534,6 @@ class TestUnitTorsionIdentity:
                               c * heisenberg.X1 + d * heisenberg.X2, name="respan")
         return [heisenberg, corpus.distribution("cartan"), respan]
 
-    # distinct nodes of each output and of their union, as counted when these
-    # bounds were set; a change may lower them, never raise them
-    NODE_BOUNDS = {
-        "heisenberg": {"t12": 1, "a1": 348, "a2": 190, "M": 361,
-                       "dd_eta3": 1, "q1_minus_p2": 252, "union": 383},
-        "cartan": {"t12": 1, "a1": 60, "a2": 1, "M": 61,
-                   "dd_eta3": 1, "q1_minus_p2": 1, "union": 63},
-        "respan": {"t12": 1, "a1": 654, "a2": 586, "M": 669,
-                   "dd_eta3": 1, "q1_minus_p2": 644, "union": 682},
-    }
-
-    @pytest.mark.parametrize("name", list(NODE_BOUNDS))
-    def test_output_node_count_bounds(self, name):
-        dist = next(d for d in self.cases() if d.name == name)
-        rep = reduce(dist, [ORIGIN])
-        outputs = {"t12": rep.T312, "a1": rep.a1, "a2": rep.a2, "M": rep.M,
-                   "dd_eta3": rep.dd_eta3, "q1_minus_p2": rep.q1_minus_p2}
-        counts = {key: len(reachable(f)) for key, f in outputs.items()}
-        counts["union"] = len(reachable(*outputs.values()))
-        over = {key: (n, self.NODE_BOUNDS[name][key]) for key, n in counts.items()
-                if n > self.NODE_BOUNDS[name][key]}
-        assert not over, over
-
     def test_t312_is_minus_one_at_ok_points(self, grid):
         for dist in self.cases():
             rep = reduce(dist, grid)
@@ -555,7 +545,7 @@ class TestUnitTorsionIdentity:
         # T312 is t12 of the section the outputs reduce on, (X1, X2, [X1, X2])
         # and its dual coframe, bit for bit; where the generators' brackets
         # are constant it folds to -1, so respan-pd is the case that shows it
-        dist = respan_pd(heisenberg)
+        dist = respan_pd()
         t12 = contact_torsion(adapted_from_orthonormal(dist.X1, dist.X2)).t12
         rep = reduce(dist, THREE_POINTS + grid)
         assert rep.n_ok == len(THREE_POINTS + grid)
@@ -637,7 +627,7 @@ class TestInvariance:
             assert abs(s.M - w.M) <= 1e-12 * max(1.0, abs(w.M)), (s.point, w.point)
 
     def test_point_dependent_respan_invariance(self, heisenberg):
-        self.assert_same_m(reduce(respan_pd(heisenberg), THREE_POINTS),
+        self.assert_same_m(reduce(respan_pd(), THREE_POINTS),
                            reduce(heisenberg, THREE_POINTS))
 
     @pytest.mark.parametrize("k", [1, -1, 14, -14, 40, -40])
@@ -648,7 +638,7 @@ class TestInvariance:
         # no record moves but det3 (degree 4 in the generators) and dd_eta3
         # (the generator frame's Jacobi sum, degree 2)
         if name == "respan-pd":
-            dist, points = respan_pd(heisenberg), THREE_POINTS
+            dist, points = respan_pd(), THREE_POINTS
         else:   # test_near_holonomic_band's input, one point holonomic-at-point
             dist = Distribution.from_components(("1", "0", "0"), ("0", "1", "300000000*x"))
             points = [Point(0.0, 0.0, 0.0), Point(1.0, 0.0, 0.0), Point(0.01, 0.0, 0.0)]

@@ -5,17 +5,21 @@
 
 Reduces 48 field-batch distributions (seeds 11, 31, 3 and 7, three rounds of
 ``bench/cases.field_batch_round`` each) at their points plus (0.1, -0.2, 0.3),
-and heisenberg and cartan on the default grid.  Prints the ``repr`` of every
-``SampleRecord``, and for each field-batch case the distinct node counts of M
-and of the union of the six outputs ``reduce`` reports and evaluates (T312,
-a1, a2, M, dd_eta3, q1_minus_p2), counted by ``bench/spans.distinct_nodes``.
-Run it in two checkouts and diff the outputs: they are deterministic, so any
-difference is a change in behaviour.  ``tests/golden/records.txt`` holds the
-record lines, which Tier-1 and CI diff against this script's output; the
-node-count lines are left out there, since a correct change may lower them.
-A change that moves a record on purpose regenerates it with
+and heisenberg and cartan on the default grid, and prints the ``repr`` of
+every ``SampleRecord``.  For each of those distributions, and for a constant
+respan of heisenberg whose records it does not print, it prints one ``nodes``
+line: the distinct node counts of the six outputs ``reduce`` reports and
+evaluates (T312, a1, a2, M, dd_eta3, q1_minus_p2) and of their union,
+counted by ``bench/spans.distinct_nodes``.  Run it in two checkouts and diff
+the outputs: they are deterministic, so any difference is a change in
+behaviour.  Tier-1 and CI hold this script's output to two files:
+``tests/golden/records.txt`` holds the record lines, which must match, and
+``tests/golden/nodes.txt`` the ``nodes`` lines, whose counts must not rise.
+A change that moves a record on purpose, or lowers a count, regenerates them
+with
 
     python3 tools/records.py | grep -v '^nodes ' > tests/golden/records.txt
+    python3 tools/records.py | grep '^nodes ' > tests/golden/nodes.txt
 
 Uses the standard library only; the package is imported from ``src/`` and
 ``bench/cases.py`` and ``bench/spans.py`` are only read.
@@ -37,6 +41,15 @@ from spans import distinct_nodes  # noqa: E402
 SEEDS = (11, 31, 3, 7)
 ROUNDS = 3
 EXTRA_POINT = (0.1, -0.2, 0.3)
+OUTPUTS = ("T312", "a1", "a2", "M", "dd_eta3", "q1_minus_p2")
+# the constant respan (a, b, c, d): X1' = a X1 + b X2, X2' = c X1 + d X2
+RESPAN = (1.3, -0.4, 0.5, 1.1)
+
+
+def nodes_line(label: str, rep) -> str:
+    fields = [getattr(rep, key) for key in OUTPUTS]
+    counts = " ".join(f"{key} {distinct_nodes([f])}" for key, f in zip(OUTPUTS, fields))
+    return f"nodes {label}: {counts} union {distinct_nodes(fields)}"
 
 
 def main() -> int:
@@ -48,13 +61,17 @@ def main() -> int:
                 rep = reduce(dist, case.points + [EXTRA_POINT])
                 for sample in rep.samples:
                     print(repr(sample))
-                union = distinct_nodes([rep.T312, rep.a1, rep.a2, rep.M, rep.dd_eta3,
-                                        rep.q1_minus_p2])
-                print(f"nodes seed={seed} round={round_no} {case.name}: "
-                      f"M {distinct_nodes([rep.M])} union {union}")
-    for name in ("heisenberg", "cartan"):
-        for sample in reduce(corpus.distribution(name), default_grid_points()).samples:
-            print(repr(sample))
+                print(nodes_line(f"seed={seed} round={round_no} {case.name}", rep))
+    heisenberg = corpus.distribution("heisenberg")
+    a, b, c, d = RESPAN
+    respan = Distribution(a * heisenberg.X1 + b * heisenberg.X2,
+                          c * heisenberg.X1 + d * heisenberg.X2, name="respan")
+    for dist in (heisenberg, corpus.distribution("cartan"), respan):
+        rep = reduce(dist, default_grid_points())
+        if dist is not respan:
+            for sample in rep.samples:
+                print(repr(sample))
+        print(nodes_line(dist.name, rep))
     return 0
 
 
