@@ -6,11 +6,14 @@ path: they only ever call ``evaluate``.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from cartan_contact import corpus
 from cartan_contact import scalarfield as sf
 from cartan_contact.forms import VectorField
 from cartan_contact.reduction import Distribution, Point
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # "the three points" of the suite and of ROADMAP.md
 THREE_POINTS = [Point(0.3, -0.2, 0.1), Point(0.5, 0.5, 0.2), Point(-0.7, 0.9, -0.4)]
@@ -96,6 +99,16 @@ def rand_poly_field(rng: random.Random, terms: int = 3):
 
 def rand_poly_vector(rng: random.Random) -> VectorField:
     return VectorField(*(rand_poly_field(rng) for _ in range(3)))
+
+
+def parse_nodes(lines) -> list[tuple[str, dict[str, int]]]:
+    """``nodes <label>: <output> <count> ...`` lines as (label, counts) pairs."""
+    out = []
+    for line in lines:
+        label, counts = line.removeprefix("nodes ").split(": ")
+        words = counts.split()
+        out.append((label, {key: int(n) for key, n in zip(words[::2], words[1::2])}))
+    return out
 
 
 def reachable(*roots) -> set:

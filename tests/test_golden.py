@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from cartan_contact.cli import main
+from helpers import GOLDEN, parse_nodes
 
-GOLDEN = Path(__file__).parent / "golden"
 MIXED = str(GOLDEN / "mixed.json")
 
 # (case, argv, exit code)
@@ -58,16 +57,6 @@ def records_output() -> list[str]:
 def test_differential_records_match_golden(records_output):
     records = [line for line in records_output if not line.startswith("nodes ")]
     assert records == (GOLDEN / "records.txt").read_text().splitlines()
-
-
-def parse_nodes(lines) -> list[tuple[str, dict[str, int]]]:
-    """``nodes <label>: <output> <count> ...`` lines as (label, counts) pairs."""
-    out = []
-    for line in lines:
-        label, counts = line.removeprefix("nodes ").split(": ")
-        words = counts.split()
-        out.append((label, {key: int(n) for key, n in zip(words[::2], words[1::2])}))
-    return out
 
 
 def test_node_counts_do_not_rise(records_output):

@@ -41,7 +41,7 @@ from cartan_contact.reduction import (
 )
 from cartan_contact import corpus, forms, reduction, replace
 from cartan_contact.scalarfield import as_field
-from helpers import THREE_POINTS, rand_points, respan_pd
+from helpers import GOLDEN, THREE_POINTS, parse_nodes, rand_points, reachable, respan_pd
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
@@ -533,6 +533,22 @@ class TestUnitTorsionIdentity:
         respan = Distribution(a * heisenberg.X1 + b * heisenberg.X2,
                               c * heisenberg.X1 + d * heisenberg.X2, name="respan")
         return [heisenberg, corpus.distribution("cartan"), respan]
+
+    @pytest.mark.parametrize("name", ["heisenberg", "cartan", "respan"])
+    def test_output_node_count_bounds(self, name):
+        # distinct nodes of each output and of their union, counted in process;
+        # the bounds are this distribution's line of tests/golden/nodes.txt,
+        # which a change may lower, never raise
+        bounds = dict(parse_nodes((GOLDEN / "nodes.txt").read_text().splitlines()))[name]
+        dist = next(d for d in self.cases() if d.name == name)
+        rep = reduce(dist, [ORIGIN])
+        outputs = {"T312": rep.T312, "a1": rep.a1, "a2": rep.a2, "M": rep.M,
+                   "dd_eta3": rep.dd_eta3, "q1_minus_p2": rep.q1_minus_p2}
+        counts = {key: len(reachable(f)) for key, f in outputs.items()}
+        counts["union"] = len(reachable(*outputs.values()))
+        assert list(counts) == list(bounds)
+        over = {key: (n, bounds[key]) for key, n in counts.items() if n > bounds[key]}
+        assert not over, over
 
     def test_t312_is_minus_one_at_ok_points(self, grid):
         for dist in self.cases():
