@@ -72,8 +72,10 @@ def closed_form(x, y):
 print("closed form at (1, 0):", closed_form(1, 0))
 
 ##############################################################################
-# The driver does all of the above per point, with singular-point handling
-# and residual checks.
+# reduce reaches the same B2 section without these stages: it builds the
+# outputs from the structure functions of the generator frame
+# (X1, X2, [X1, X2]), then evaluates them per point, with singular-point
+# handling and residual checks.
 
 report = reduce(dist, points)
 print("ok points:", report.n_ok, "of", len(report.samples))

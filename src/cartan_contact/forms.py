@@ -231,18 +231,18 @@ def apply_two_form(omega: TwoForm, X: VectorField, Y: VectorField) -> ScalarFiel
 
 
 def _row(eta: OneForm, F: Frame):
-    """(c_23, c_31, c_12) with c_ab = (d eta)(e_a, e_b) on F = (e1, e2, e3)."""
+    """(c_23, c_31, c_12) with c_ab = (d eta)(e_a, e_b) = eta([e_b, e_a]) on
+    F = (e1, e2, e3), the frame dual to the coframe that holds eta."""
     e1, e2, e3 = F.fields
-    d = exterior_derivative(eta)
-    return apply_two_form(d, e2, e3), apply_two_form(d, e3, e1), apply_two_form(d, e1, e2)
+    return dot(eta, commutator(e3, e2)), dot(eta, commutator(e1, e3)), dot(eta, commutator(e2, e1))
 
 
 def structure_coefficients(C: Coframe, F: Frame):
     """Expansion coefficients of d(eta^i) in the coframe 2-form basis.
 
-    Returns rows c^i = (c^i_23, c^i_31, c^i_12) with c^i_ab = (d eta^i)(e_a, e_b),
-    so that d eta^i = c^i_23 eta^2^eta^3 + c^i_31 eta^3^eta^1 + c^i_12 eta^1^eta^2
-    whenever F is the dual frame of C.
+    F must be the frame dual to C.  Returns rows c^i = (c^i_23, c^i_31, c^i_12)
+    with c^i_ab = eta^i([e_b, e_a]) = (d eta^i)(e_a, e_b), so that
+    d eta^i = c^i_23 eta^2^eta^3 + c^i_31 eta^3^eta^1 + c^i_12 eta^1^eta^2.
     """
     return tuple(_row(eta, F) for eta in C.forms)
 

@@ -22,13 +22,13 @@ Stages transform coframe sections by explicit structure-group elements; the
 dual frame is carried along by the exact inverse transformation, never by a
 second matrix inversion.
 
-The stage functions carry coordinate coframes and differentiate their
-components.  :func:`reduce` reaches the same B2 section without them: it
-reads the stage coefficients off the structure functions of the generator
-frame (X1, X2, [X1, X2]) and the lower-triangular matrix taking it to the
-B0 frame, so nothing is differentiated beyond the generators' brackets and
-a few scalars.  The coordinate path stays as library API, as a second
-derivation of the same outputs, and for the residual T312 of :func:`reduce`.
+The stage functions carry coordinate coframes and read each coefficient off
+a dual frame's bracket, (d eta)(e_a, e_b) = eta([e_b, e_a]).  :func:`reduce`
+reaches the same B2 section without them, from the structure functions of
+the generator frame (X1, X2, [X1, X2]) and the lower-triangular matrix taking
+it to the B0 frame, so nothing is differentiated beyond brackets and a few
+scalars.  The coordinate path stays as library API, as a second derivation of
+the same outputs, and for the residual T312 of :func:`reduce`.
 """
 from __future__ import annotations
 
@@ -196,8 +196,8 @@ class InvariantReport(Record):
     a1, a2 individually depend on the residual rotation freedom of the frame;
     only M = a1^2 + a2^2 is invariant.  A1, A2, A3 are the coefficients of the
     absorbed pseudoconnection alpha = A1 eta^1 + A2 eta^2 + A3 eta^3.
-    T312 is the t12 of the generator frame that :func:`reduce` evaluates
-    into each sample's ``T312``; :func:`extract_invariants` leaves it ``None``.
+    T312 is the generator frame's t12 = xi^3([X2, X1]) = -C^3_12; only
+    :func:`reduce` sets it, and evaluates it into each sample's ``T312``.
     """
 
     a1: ScalarField
@@ -329,7 +329,8 @@ def build_adapted(D: Distribution) -> AdaptedCoframe:
 def contact_torsion(A: AdaptedCoframe) -> TorsionSlice:
     """The d(eta^3) expansion, row 3 of the structure coefficients.
 
-    Builds that row alone, in the open intern table or in one of its own.
+    Builds that row alone, as eta^3([e_b, e_a]), in the open intern table or
+    its own; :func:`reduce`'s T312 is its t12 = xi^3([X2, X1]) = -C^3_12.
     """
     with _interning():
         return TorsionSlice(*_row(A.coframe.eta3, A.frame))
@@ -342,10 +343,10 @@ def normalize_scale(A: AdaptedCoframe) -> AdaptedCoframe:
     translations and scale t12: eta^3 -> eta^3 / t12, dual frame
     e3 -> t12 * e3.  Negative t12 is allowed (the group only requires a
     nonzero scale); it flips the coframe orientation and leaves M unchanged.
-    Works on any stage-B0 section; on the one :func:`build_adapted` returns,
-    t12 = -1 identically, and :func:`reduce` applies that scale exactly
-    instead of dividing by the symbolic t12.  Nothing is verified: the B1
-    section is undefined where t12 vanishes.
+    Works on any stage-B0 section; on a frame completed by the commutator,
+    as :func:`build_adapted`'s is, t12 = -1 identically, and the generator
+    frame path of :func:`reduce` applies that scale exactly.  Nothing is
+    verified: the B1 section is undefined where t12 vanishes.
     """
     if A.stage != "B0":
         raise ValueError(f"normalize_scale expects stage B0, got {A.stage}")
@@ -487,11 +488,10 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     translations, in closed form.  ``dd_eta3`` is the generator frame's form
     of d(d eta3) = 0, its l = 3 Jacobi sum; ``q1_minus_p2`` is Q1 - P2.
     ``T312`` is :func:`contact_torsion`'s t12 of the same frame and its dual
-    coframe xi (:func:`adapted_from_orthonormal`), (d xi^3)(X1, X2) on the
-    coordinate path: -xi^3([X1, X2]) = -1 by duality, a residual for the
-    C^k_12 = delta^k_3 that the outputs apply exactly.  Each point's six
-    evaluations share one memo, so subtrees they share are computed once
-    per point.
+    coframe xi (:func:`adapted_from_orthonormal`), xi^3([X2, X1]) = -C^3_12
+    = -1, a residual for the C^k_12 = delta^k_3 that the outputs apply
+    exactly.  Each point's six evaluations share one memo, so subtrees they
+    share are computed once per point.
 
     :func:`classify` runs first and is the pipeline's only gate: a holonomic
     or mixed classification raises :class:`HolonomicError` or
@@ -499,10 +499,10 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     Points where a stage is undefined are ``singular``, those where |det3|
     falls below the per-point threshold ``holonomic-at-point``, and the rest
     ``ok`` exactly when |q1 - p2| <= ``identity_tol``; only ``ok`` points
-    enter aggregates.  No status reads T312 (its rounding grows like
-    1/det3^2) or ``dd_eta3`` (it scales like |X1||X2| under X_i -> c X_i,
-    which leaves M unchanged).  :class:`ConsistencyError` is raised where
-    q1 - p2 is defined and beyond 1e-6 max(1, |a1|, |a2|): it is exact.
+    enter aggregates.  No status reads the value of T312 or of ``dd_eta3``
+    (it scales like |X1||X2| under X_i -> c X_i, which leaves M unchanged).
+    :class:`ConsistencyError` is raised where q1 - p2 is defined and beyond
+    1e-6 max(1, |a1|, |a2|): it is exact.
     """
     with _interning():
         cls = classify(D, [p if isinstance(p, Point) else Point(*p) for p in points])

@@ -120,11 +120,3 @@ def reachable(*roots) -> set:
             seen.add(node)
             stack.extend(node._children)
     return seen
-
-
-def assert_close(got, want, tol, what=""):
-    assert abs(got - want) <= tol, f"{what}: got {got!r}, want {want!r} (tol {tol})"
-
-
-def rel_err(got, want):
-    return abs(got - want) / max(1.0, abs(want))

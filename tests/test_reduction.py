@@ -271,11 +271,14 @@ class TestContactTorsion:
         for f in (t.t23, t.t31, t.t12):
             assert f.evaluate(ORIGIN) == 0.0
 
-    def test_differentiates_eta3_only(self, heisenberg, monkeypatch):
+    def test_differentiates_no_form(self, heisenberg, monkeypatch):
+        # the row is read off brackets, eta3([e_b, e_a]), so neither
+        # contact_torsion nor reduce, which calls it, takes d of a coframe form
         A = build_adapted(heisenberg)
         calls = count_exterior_derivatives(monkeypatch)
         contact_torsion(A)
-        assert calls == [A.coframe.eta3]
+        reduce(heisenberg, [(1.0, 0.0, 0.3)])
+        assert calls == []
 
 
 def _shear_coframe():
@@ -371,12 +374,13 @@ class TestExtractInvariants:
         with pytest.raises(ValueError):
             extract_invariants(b0)
 
-    def test_differentiates_each_form_once(self, heisenberg, monkeypatch):
-        # the eta1 and eta2 rows, and eta3 for dd_eta3; the eta3 row is unread
+    def test_differentiates_eta3_only(self, heisenberg, monkeypatch):
+        # the eta1 and eta2 rows are read off brackets; eta3 is differentiated
+        # once, for dd_eta3
         b2 = absorb_translations(normalize_scale(build_adapted(heisenberg)))
         calls = count_exterior_derivatives(monkeypatch)
         extract_invariants(b2)
-        assert sorted(map(id, calls)) == sorted(map(id, b2.coframe.forms))
+        assert calls == [b2.coframe.eta3]
 
     def test_heisenberg_reference_point(self, heisenberg):
         *_, inv = full_pipeline(heisenberg)
@@ -508,17 +512,23 @@ class TestReduce:
             reduce(heisenberg, [(1.0, 0.0, 0.3)])
 
     def test_singular_record_carries_t312_when_evaluated(self):
-        # the derivatives of sqrt(x) overflow near x = 0: at 1e-100 only the
-        # outputs, which take one derivative more than T312, overflow; at
-        # 1e-250 T312 overflows too
+        # the derivatives of sqrt(x) overflow near x = 0: at 1e-100 and
+        # 1e-250 the outputs, which take one derivative more than T312,
+        # overflow, and T312 = xi3([X2, X1]) is still evaluated
         dist = Distribution.from_components(("1", "0", "-y"), ("0", "1", "sqrt(x)"))
         rep = reduce(dist, [(1.0, 0.0, 0.0), (1e-100, 0.0, 0.0), (1e-250, 0.0, 0.0)])
         assert [s.status for s in rep.samples] == ["ok", "singular", "singular"]
-        assert rep.samples[1].T312 == pytest.approx(-1.0, abs=1e-9)
-        assert rep.samples[2].T312 is None
         for s in rep.samples[1:]:
+            assert s.T312 == pytest.approx(-1.0, abs=1e-9)
             assert s.det3 is not None
             assert (s.a1, s.a2, s.M, s.dd_eta3, s.q1_minus_p2) == (None,) * 5
+        # constant brackets with a subnormal det3: xi3 = X1 x X2 / det3
+        # overflows, so T312 cannot be evaluated and the record is singular
+        dist = Distribution.from_components(("1", "0", "-1e-309*y"), ("0", "1", "1e-309*x"))
+        (s,) = reduce(dist, [(0.5, 0.5, 0.3)]).samples
+        assert s.status == "singular" and s.T312 is None
+        assert s.det3 == pytest.approx(2e-309, rel=1e-12)
+        assert (s.a1, s.a2, s.M, s.dd_eta3, s.q1_minus_p2) == (None,) * 5
 
 
 class TestUnitTorsionIdentity:
@@ -556,6 +566,15 @@ class TestUnitTorsionIdentity:
             assert rep.n_ok == len(grid)
             for s in rep.ok_samples():
                 assert abs(s.T312 + 1.0) <= 1e-9, (dist.name, s.point)
+        # [X1, X2] = (0, 0, z) is small, det3 is not small against its scale:
+        # differentiating xi3 = X1 x X2 / det3 rounded T312 to -2 or 0 here
+        dist = Distribution.from_components(("1", "1", "0"), ("0", "y*z", "1"))
+        want_m = {1e-8: 2.5e+31, 1e-20: 2.5000000000000007e+79,
+                  1.18e-38: 1.289472187879853e+151, 1e-44: 2.5000000000000007e+175}
+        rep = reduce(dist, [(0.0, 0.0, z) for z in want_m])
+        for s, m in zip(rep.samples, want_m.values()):
+            assert s.status == "ok" and abs(s.T312 + 1.0) <= 1e-9, s
+            assert s.M == m, s
 
     def test_t312_is_the_generator_frame_t12(self, heisenberg, grid):
         # T312 is t12 of the section the outputs reduce on, (X1, X2, [X1, X2])

@@ -52,16 +52,23 @@ def nodes_line(label: str, rep) -> str:
     return f"nodes {label}: {counts} union {distinct_nodes(fields)}"
 
 
-def main() -> int:
+def field_batch():
+    """(label, distribution, points) for each of the 48 field-batch cases."""
     for seed in SEEDS:
         rng = random.Random(seed)
         for round_no in range(ROUNDS):
             for case in cases.field_batch_round(rng):
+                label = f"seed={seed} round={round_no} {case.name}"
                 dist = Distribution.from_components(case.x1, case.x2, name=case.name)
-                rep = reduce(dist, case.points + [EXTRA_POINT])
-                for sample in rep.samples:
-                    print(repr(sample))
-                print(nodes_line(f"seed={seed} round={round_no} {case.name}", rep))
+                yield label, dist, case.points + [EXTRA_POINT]
+
+
+def main() -> int:
+    for label, dist, points in field_batch():
+        rep = reduce(dist, points)
+        for sample in rep.samples:
+            print(repr(sample))
+        print(nodes_line(label, rep))
     heisenberg = corpus.distribution("heisenberg")
     a, b, c, d = RESPAN
     respan = Distribution(a * heisenberg.X1 + b * heisenberg.X2,
