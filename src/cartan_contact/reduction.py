@@ -33,7 +33,7 @@ the same outputs, and for the residual T312 of :func:`reduce`.
 from __future__ import annotations
 
 from ._record import Record, replace
-from .scalarfield import DomainError, Point, ScalarField, _interning, as_field, sqrt
+from .scalarfield import Point, ScalarField, _evaluate_points, _interning, as_field, sqrt
 from .forms import (
     Coframe,
     Frame,
@@ -274,18 +274,14 @@ def classify(D: Distribution, points) -> Classification:
     nb = norm(bracket)
     sine = norm(_cross(D.X1 / n1, D.X2 / n2))
     records = []
-    for p in points:
-        memo: dict = {}   # shared by the five fields at this point
-        try:
-            v1 = n1.evaluate(p, memo)
-            v2 = n2.evaluate(p, memo)
-            if v1 == 0 or v2 == 0 or sine.evaluate(p, memo) <= _DEGENERACY_RTOL:
-                raise DegenerateInput("generators are linearly dependent", p)
-            vb = nb.evaluate(p, memo)
-            d = det3.evaluate(p, memo)
-        except DomainError:
+    for p, (v, error) in zip(points, _evaluate_points((n1, n2, sine, nb, det3), points)):
+        # |X1| and |X2| are tested before the sine, which divides by them
+        if len(v) > 1 and (v[0] == 0 or v[1] == 0 or len(v) > 2 and v[2] <= _DEGENERACY_RTOL):
+            raise DegenerateInput("generators are linearly dependent", p)
+        if error is not None:
             records.append(PointClassification(p, "undefined", None, None))
             continue
+        v1, v2, _, vb, d = v
         scale = v1 * v2 * vb
         status = "holonomic" if abs(d) <= _DEGENERACY_RTOL * scale else "contact"
         records.append(PointClassification(p, status, d, scale))
@@ -490,8 +486,9 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     ``T312`` is :func:`contact_torsion`'s t12 of the same frame and its dual
     coframe xi (:func:`adapted_from_orthonormal`), xi^3([X2, X1]) = -C^3_12
     = -1, a residual for the C^k_12 = delta^k_3 that the outputs apply
-    exactly.  Each point's six evaluations share one memo, so subtrees they
-    share are computed once per point.
+    exactly.  The six outputs are evaluated together
+    (``scalarfield._evaluate_points``), so subtrees they share are computed
+    once per point, and only the first point walks the DAG.
 
     :func:`classify` runs first and is the pipeline's only gate: a holonomic
     or mixed classification raises :class:`HolonomicError` or
@@ -514,30 +511,25 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
         t12 = contact_torsion(section).t12
         inv = _frame_invariants(section.frame.fields)
 
-    samples = []
-    for rec in cls.records:
-        p = rec.point
-        if rec.status == "undefined":
-            samples.append(SampleRecord(p, "singular"))
+    # the undefined and holonomic-at-point samples; None where outputs are evaluated
+    samples = [SampleRecord(r.point, "singular") if r.status == "undefined" else
+               SampleRecord(r.point, "holonomic-at-point", det3=r.det3)
+               if abs(r.det3) <= POINT_HOLONOMIC_RTOL * r.scale else None
+               for r in cls.records]
+    todo = [i for i, s in enumerate(samples) if s is None]
+    outputs = (t12, inv.a1, inv.a2, inv.M, inv.dd_eta3, inv.q1_minus_p2)
+    points = [cls.records[i].point for i in todo]
+    for i, p, (v, error) in zip(todo, points, _evaluate_points(outputs, points)):
+        det3 = cls.records[i].det3
+        if error is not None:
+            samples[i] = SampleRecord(p, "singular", det3=det3, T312=v[0] if v else None)
             continue
-        det3, scale = rec.det3, rec.scale
-        if abs(det3) <= POINT_HOLONOMIC_RTOL * scale:
-            samples.append(SampleRecord(p, "holonomic-at-point", det3=det3))
-            continue
-        memo: dict = {}   # shared by the six outputs at this point
-        t312 = None
-        try:
-            t312 = t12.evaluate(p, memo)
-            a1, a2, m, dd, q1p2 = (f.evaluate(p, memo) for f in
-                                   (inv.a1, inv.a2, inv.M, inv.dd_eta3, inv.q1_minus_p2))
-        except DomainError:
-            samples.append(SampleRecord(p, "singular", det3=det3, T312=t312))
-            continue
+        t312, a1, a2, m, dd, q1p2 = v
         if abs(q1p2) > CONSISTENCY_TOL * max(1.0, abs(a1), abs(a2)):
             raise ConsistencyError(p, q1p2)
         status = "ok" if abs(q1p2) <= identity_tol else "singular"
-        samples.append(SampleRecord(p, status, det3=det3, T312=t312,
-                                    a1=a1, a2=a2, M=m, dd_eta3=dd, q1_minus_p2=q1p2))
+        samples[i] = SampleRecord(p, status, det3=det3, T312=t312,
+                                  a1=a1, a2=a2, M=m, dd_eta3=dd, q1_minus_p2=q1p2)
     return replace(inv, T312=t12, samples=tuple(samples), classification=cls)
 
 

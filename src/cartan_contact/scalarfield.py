@@ -23,14 +23,18 @@ alone frees a DAG.
 
 Differentiation and evaluation are each one post-order walk over the shared
 nodes: a node's ``_diff`` receives its children's derivatives and its
-``_eval`` their values, so each distinct node costs a few dictionary
-operations and one method call.  Parsing, differentiation, evaluation and
+operation ``_fn`` (a C-level callable but for ``Pow``) their values, so each
+distinct node costs a few dictionary operations and one call.  Over several
+points, ``_evaluate_points`` walks the first and replays the walk's
+completion order at the others.  Parsing, differentiation, evaluation and
 printing all work with explicit stacks, so neither long sums nor deep
 nesting need recursion.
 """
 from __future__ import annotations
 
 import math
+import operator
+from itertools import takewhile
 
 from ._record import Record
 
@@ -257,7 +261,7 @@ class ScalarField:
         One post-order walk with an explicit stack and a memo over shared
         subtrees, so large derived expressions evaluate in time linear in
         distinct nodes.  A node's missing children are pushed with the last
-        on top, and its ``_eval`` runs once, when all of them have values; of
+        on top, and its ``_fn`` runs once, when all of them have values; of
         several undefined sub-expressions, the first reached in that order is
         the one reported.  ``memo`` lets several calls at the same point
         share that memoisation: pass one empty dict to the evaluations of all
@@ -271,38 +275,42 @@ class ScalarField:
         get, isfinite = memo.get, math.isfinite
         stack = [self]
         push, pop = stack.append, stack.pop
-        while stack:
-            node = pop()
-            if node in memo:
-                continue
-            kids = node._children
-            if not kids:
-                value = node._eval((), pt)
-            elif len(kids) == 2:
-                a, b = kids
-                va = get(a)
-                vb = get(b)
-                if va is None or vb is None:
-                    push(node)
+        try:
+            while stack:
+                node = pop()
+                if node in memo:
+                    continue
+                kids = node._children
+                if not kids:
+                    value = node._eval(pt)
+                elif len(kids) == 2:
+                    a, b = kids
+                    va = get(a)
+                    vb = get(b)
+                    if va is None or vb is None:
+                        push(node)
+                        if va is None:
+                            push(a)
+                        if vb is None:
+                            push(b)
+                        continue
+                    value = node._fn(va, vb)
+                else:
+                    va = get(kids[0])
                     if va is None:
-                        push(a)
-                    if vb is None:
-                        push(b)
-                    continue
-                value = node._eval((va, vb), pt)
-            else:
-                va = get(kids[0])
-                if va is None:
-                    push(node)
-                    push(kids[0])
-                    continue
-                value = node._eval((va,), pt)
-            if not isfinite(value):
-                raise DomainError("non-finite result", pt, node._short_text())
-            memo[node] = value
+                        push(node)
+                        push(kids[0])
+                        continue
+                    value = node._fn(va)
+                if not isfinite(value):
+                    raise _failure(node, None, pt)
+                memo[node] = value
+        except _FAILURES as exc:
+            raise _failure(node, exc, pt) from None
         return memo[self]
 
-    def _eval(self, kids: tuple, pt: tuple) -> float:
+    def _eval(self, pt: tuple) -> float:
+        """A leaf's value; an operator node's is its ``_fn`` of its children's."""
         raise NotImplementedError
 
     # -- printing -----------------------------------------------------------
@@ -344,7 +352,7 @@ class Const(ScalarField):
     def _diff(self, k, dk):
         return _ZERO
 
-    def _eval(self, kids, pt):
+    def _eval(self, pt):
         return self.value
 
     def _text(self, kids):
@@ -364,7 +372,7 @@ class Var(ScalarField):
     def _diff(self, k, dk):
         return _ONE if k == self.index else _ZERO
 
-    def _eval(self, kids, pt):
+    def _eval(self, pt):
         return pt[self.index]
 
     def _text(self, kids):
@@ -387,12 +395,10 @@ class Add(_Binary):
     _prec = _P_ADD
     _op = " + "
     _kid_prec = (_P_ADD, _P_MUL)
+    _fn = operator.add
 
     def _diff(self, k, dk):
         return _add(dk[0], dk[1])
-
-    def _eval(self, kids, pt):
-        return kids[0] + kids[1]
 
 
 class Sub(_Binary):
@@ -400,12 +406,10 @@ class Sub(_Binary):
     _prec = _P_ADD
     _op = " - "
     _kid_prec = (_P_ADD, _P_MUL)
+    _fn = operator.sub
 
     def _diff(self, k, dk):
         return _sub(dk[0], dk[1])
-
-    def _eval(self, kids, pt):
-        return kids[0] - kids[1]
 
 
 class Mul(_Binary):
@@ -413,13 +417,11 @@ class Mul(_Binary):
     _prec = _P_MUL
     _op = "*"
     _kid_prec = (_P_MUL, _P_POW)
+    _fn = operator.mul
 
     def _diff(self, k, dk):
         a, b = self._children
         return _add(_mul(dk[0], b), _mul(a, dk[1]))
-
-    def _eval(self, kids, pt):
-        return kids[0] * kids[1]
 
 
 class Div(_Binary):
@@ -427,21 +429,18 @@ class Div(_Binary):
     _prec = _P_MUL
     _op = "/"
     _kid_prec = (_P_MUL, _P_POW)
+    _fn = operator.truediv
 
     def _diff(self, k, dk):
         a, b = self._children
         return _sub(_div(dk[0], b), _div(_mul(a, dk[1]), _mul(b, b)))
-
-    def _eval(self, kids, pt):
-        if kids[1] == 0.0:
-            raise DomainError("division by zero", pt, self._short_text())
-        return kids[0] / kids[1]
 
 
 class Neg(ScalarField):
     __slots__ = ("_children",)
     _prec = _P_UNARY
     _kid_prec = (_P_UNARY,)
+    _fn = operator.neg
 
     def __init__(self, a: ScalarField) -> None:
         self._derivs = _NO_DERIVS
@@ -449,9 +448,6 @@ class Neg(ScalarField):
 
     def _diff(self, k, dk):
         return _neg(dk[0])
-
-    def _eval(self, kids, pt):
-        return -kids[0]
 
     def _text(self, kids):
         return f"-{kids[0]}"
@@ -473,20 +469,15 @@ class Pow(ScalarField):
         n = self.exponent
         return _mul(_mul(Const(n), _pow(self._children[0], n - 1)), dk[0])
 
-    def _eval(self, kids, pt):
-        try:
-            return kids[0] ** self.exponent
-        except ZeroDivisionError:
-            raise DomainError("zero raised to a negative power", pt, self._short_text()) from None
-        except OverflowError:
-            raise DomainError("overflow", pt, self._short_text()) from None
+    def _fn(self, v):
+        return v ** self.exponent
 
     def _text(self, kids):
         return f"{kids[0]}^{self.exponent}"
 
 
 class Call(ScalarField):
-    __slots__ = ("_children", "fn", "_twin")
+    __slots__ = ("_children", "fn", "_fn", "_twin")
     _prec = _P_ATOM
     _kid_prec = (_P_ADD,)
 
@@ -494,6 +485,7 @@ class Call(ScalarField):
         self._derivs = _NO_DERIVS
         self._children = (arg,)
         self.fn = fn
+        self._fn = _FUNCTIONS[fn]
         self._twin = None
 
     def _diff(self, k, dk):
@@ -512,18 +504,71 @@ class Call(ScalarField):
             return _div(du, _mul(_TWO, twin))
         return _mul(twin, du)  # exp
 
-    def _eval(self, kids, pt):
-        # on finite arguments only sqrt raises ValueError, only exp OverflowError
-        try:
-            return _FUNCTIONS[self.fn](kids[0])
-        except ValueError:
-            reason = "square root of a negative number"
-        except OverflowError:
-            reason = "overflow"
-        raise DomainError(reason, pt, self._short_text())
-
     def _text(self, kids):
         return f"{self.fn}({kids[0]})"
+
+
+# on finite operands only these operations raise, and only these exceptions
+_REASONS = {
+    (Div, ZeroDivisionError): "division by zero",
+    (Pow, ZeroDivisionError): "zero raised to a negative power",
+    (Pow, OverflowError): "overflow",
+    (Call, ValueError): "square root of a negative number",
+    (Call, OverflowError): "overflow",
+}
+_FAILURES = (ZeroDivisionError, OverflowError, ValueError)
+
+
+def _failure(node, exc, pt) -> DomainError:
+    """``node``'s error at ``pt``: its ``_fn`` raised ``exc``, or gave a non-finite value."""
+    reason = "non-finite result" if exc is None else _REASONS[type(node), type(exc)]
+    return DomainError(reason, pt, node._short_text())
+
+
+def _evaluate_points(roots, points):
+    """Yield, per point, the values of ``roots`` and the DomainError or None:
+    ``[f.evaluate(p, memo) for f in roots]`` with a fresh memo, or what it
+    completes before it raises.
+
+    The first point whose walk completes leaves its memo's keys as a tape,
+    children before parents in completion order.  That order does not depend
+    on values until a failure, so each later point replays the tape in one
+    loop with the walk's finiteness check, giving the same bits and error.
+    """
+    tape = None
+    isfinite = math.isfinite
+    for point in points:
+        values, error = [], None
+        if tape is None:
+            memo: dict = {}
+            try:
+                for root in roots:
+                    values.append(root.evaluate(point, memo))
+                tape = list(memo)
+            except DomainError as exc:
+                error = exc
+            del memo   # only the tape outlives the walk
+            yield values, error
+            continue
+        pt = _point_tuple(point)
+        vals: dict = {}
+        for node in tape:
+            kids = node._children
+            try:
+                if not kids:
+                    value = node._eval(pt)
+                elif len(kids) == 2:
+                    value = node._fn(vals[kids[0]], vals[kids[1]])
+                else:
+                    value = node._fn(vals[kids[0]])
+            except _FAILURES as exc:
+                error = _failure(node, exc, pt)
+                break
+            if not isfinite(value):
+                error = _failure(node, None, pt)
+                break
+            vals[node] = value
+        yield [vals[r] for r in takewhile(vals.__contains__, roots)], error
 
 
 # the derivative cache of a node not yet differentiated; diff gives a node
@@ -612,69 +657,72 @@ def _interned(build):
     return constructor
 
 
-def _is_const(f, v):
-    return type(f) is Const and f.value == v
-
-
 def _fold(node):
-    """``node``, or the Const of its own ``_eval`` on its children's values
-    when every child is a Const and that value is finite.  Where ``_eval``
-    raises :class:`DomainError`, the node is kept and evaluation reports it."""
-    kids = node._children
-    for k in kids:
-        if type(k) is not Const:
-            return node
+    """``node``, whose children are all Const, or the Const of its ``_fn``
+    on their values when that value is finite.  Where ``_fn`` raises, the
+    node is kept and evaluation reports it."""
     try:
-        value = node._eval(tuple(k.value for k in kids), None)
-    except DomainError:
+        value = node._fn(*[k.value for k in node._children])
+    except _FAILURES:
         return node
     return Const(value) if math.isfinite(value) else node
 
 
+# each binary constructor reads an operand's value only if it is a Const:
+# neutral elements first, which keeps fixed-point transformations
+# identity-stable, then the fold of two constants
+
 @_interned
 def _add(a, b):
-    # neutral elements first: keeps fixed-point transformations identity-stable
-    if _is_const(b, 0.0):
+    ka = a.value if type(a) is Const else None
+    kb = b.value if type(b) is Const else None
+    if kb == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if ka == 0.0:
         return b
-    return _fold(Add(a, b))
+    return Add(a, b) if ka is None or kb is None else _fold(Add(a, b))
 
 
 @_interned
 def _sub(a, b):
-    if _is_const(b, 0.0):
+    ka = a.value if type(a) is Const else None
+    kb = b.value if type(b) is Const else None
+    if kb == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if ka == 0.0:
         return _neg(b)
-    return _fold(Sub(a, b))
+    return Sub(a, b) if ka is None or kb is None else _fold(Sub(a, b))
 
 
 @_interned
 def _mul(a, b):
-    if _is_const(b, 1.0):
+    ka = a.value if type(a) is Const else None
+    kb = b.value if type(b) is Const else None
+    if kb == 1.0:
         return a
-    if _is_const(a, 1.0):
+    if ka == 1.0:
         return b
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if ka == 0.0 or kb == 0.0:
         return _ZERO
-    return _fold(Mul(a, b))
+    return Mul(a, b) if ka is None or kb is None else _fold(Mul(a, b))
 
 
 @_interned
 def _div(a, b):
-    if _is_const(b, 1.0):
+    ka = a.value if type(a) is Const else None
+    kb = b.value if type(b) is Const else None
+    if kb == 1.0:
         return a
-    if _is_const(a, 0.0):
+    if ka == 0.0:
         return _ZERO
-    return _fold(Div(a, b))
+    return Div(a, b) if ka is None or kb is None else _fold(Div(a, b))
 
 
 @_interned
 def _neg(a):
     if type(a) is Neg:
         return a._children[0]
-    return _fold(Neg(a))
+    return _fold(Neg(a)) if type(a) is Const else Neg(a)
 
 
 @_interned
@@ -683,12 +731,12 @@ def _pow(base, n: int):
         return _ONE
     if n == 1:
         return base
-    return _fold(Pow(base, n))
+    return _fold(Pow(base, n)) if type(base) is Const else Pow(base, n)
 
 
 @_interned
 def _call(fn, arg):
-    return _fold(Call(fn, arg))
+    return _fold(Call(fn, arg)) if type(arg) is Const else Call(fn, arg)
 
 
 def _coerce(v) -> "ScalarField | None":

@@ -120,3 +120,16 @@ def reachable(*roots) -> set:
             seen.add(node)
             stack.extend(node._children)
     return seen
+
+
+def count_walks(monkeypatch) -> list:
+    """The point of each ScalarField.evaluate call, recorded while ``monkeypatch`` lasts."""
+    calls = []
+    walk = sf.ScalarField.evaluate
+
+    def counted(self, point, memo=None):
+        calls.append(point)
+        return walk(self, point, memo)
+
+    monkeypatch.setattr(sf.ScalarField, "evaluate", counted)
+    return calls

@@ -41,7 +41,8 @@ from cartan_contact.reduction import (
 )
 from cartan_contact import corpus, forms, reduction, replace
 from cartan_contact.scalarfield import as_field
-from helpers import GOLDEN, THREE_POINTS, parse_nodes, rand_points, reachable, respan_pd
+from helpers import (GOLDEN, THREE_POINTS, count_walks, parse_nodes, rand_points, reachable,
+                     respan_pd)
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
@@ -122,10 +123,12 @@ class TestClassify:
         assert statuses[1.0] == "contact"
 
     AT = [Point(0.5, 0.5, 0.3)]
-    # (X1, X2, points); in the last three the squared area
-    # |X1|^2 |X2|^2 - (X1 . X2)^2 is lost to rounding or to inf - inf
+    # (X1, X2, points); in "vanishing" |X1| is 0 at the second point, where
+    # the sine, which divides by it, is undefined; in the last three the
+    # squared area |X1|^2 |X2|^2 - (X1 . X2)^2 is lost to rounding or to inf - inf
     DEPENDENT = {
         "x-times-3": (("1", "x", "0"), ("3", "3*x", "0"), default_grid_points()),
+        "vanishing": (("x", "0", "0"), ("0", "1", "x"), [Point(1.0, 0.5, 0.3), Point(0.0, 0.5, 0.3)]),
         "parallel": (("1", "0", "-y"), ("2", "0", "-2*y"), AT),
         "parallel-1e80": (("1e80", "0", "0"), ("2e80", "0", "0"), AT),
         "steep-1e80": (("1", "0", "-1e80*y"), ("0", "1", "1e80*x"), AT),
@@ -510,6 +513,17 @@ class TestReduce:
         monkeypatch.setattr(reduction, "_frame_invariants", broken)
         with pytest.raises(ConsistencyError):
             reduce(heisenberg, [(1.0, 0.0, 0.3)])
+
+    def test_later_points_replay_the_first_walk(self, heisenberg, monkeypatch):
+        # classify's five fields and reduce's six outputs are each walked at
+        # the first point only; the later points replay that walk
+        calls = count_walks(monkeypatch)
+        assert classify(heisenberg, THREE_POINTS).kind == "contact"
+        assert calls == [THREE_POINTS[0]] * 5
+        calls.clear()
+        rep = reduce(heisenberg, THREE_POINTS)
+        assert rep.n_ok == 3
+        assert len(calls) == 5 + 6 and set(calls) == {THREE_POINTS[0]}
 
     def test_singular_record_carries_t312_when_evaluated(self):
         # the derivatives of sqrt(x) overflow near x = 0: at 1e-100 and

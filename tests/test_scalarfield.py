@@ -13,10 +13,11 @@ from cartan_contact.scalarfield import (
     Point,
     ScalarField,
     UnknownIdentifier,
+    _evaluate_points,
     as_field,
     parse,
 )
-from helpers import fd_partial, rand_points, rand_smooth_field
+from helpers import count_walks, fd_partial, rand_points, rand_smooth_field
 
 
 ORIGIN = (0.0, 0.0, 0.0)
@@ -36,6 +37,17 @@ UNFOLDABLE = [
     ("0^-1", "zero raised to a negative power"),
     ("exp(1000)", "overflow"),
     ("1e200^2", "overflow"),
+]
+
+# point-dependent failures, one per reason and failing node kind: each text
+# is defined at the origin and fails at its point, so a replay meets it
+REPLAYED = [
+    ("1/(x - 1)", (1.0, 0.0, 0.0), "division by zero"),
+    ("sqrt(x)", (-1.0, 0.0, 0.0), "square root of a negative number"),
+    ("(x - 1)^-1", (1.0, 0.0, 0.0), "zero raised to a negative power"),
+    ("exp(1000*x)", (1.0, 0.0, 0.0), "overflow"),
+    ("(1e200*x)^2", (1.0, 0.0, 0.0), "overflow"),
+    ("1e308*x + 1e308", (1.0, 0.0, 0.0), "non-finite result"),
 ]
 
 
@@ -444,6 +456,79 @@ class TestPrinting:
                 assert d.evaluate(p) == g.evaluate(p)
 
 
+def walked(roots, point):
+    """The per-point loop ``_evaluate_points`` stands for: each root's value
+    with one fresh memo, up to the DomainError, as value bits and error fields."""
+    memo, values = {}, []
+    try:
+        for f in roots:
+            values.append(f.evaluate(point, memo))
+    except DomainError as err:
+        return [v.hex() for v in values], (err.reason, err.point, err.where)
+    return [v.hex() for v in values], None
+
+
+def replayed(roots, points):
+    return [([v.hex() for v in values], None if err is None else (err.reason, err.point, err.where))
+            for values, err in _evaluate_points(roots, points)]
+
+
+class TestEvaluatePoints:
+    """The first point is walked, later ones replay its completion order."""
+
+    def test_replay_matches_walk(self, rng, monkeypatch):
+        calls = count_walks(monkeypatch)
+        for _ in range(20):
+            f, g = rand_smooth_field(rng), rand_smooth_field(rng)
+            fg = f * g
+            # subtrees shared across roots, a root inside another, a repeated root
+            roots = [fg, f.diff("x"), g, fg - f.diff("x").diff("y"), g.diff("z") / (2 + f * f), fg]
+            points = rand_points(rng, 4, -2.0, 2.0)
+            calls.clear()
+            assert replayed(roots, points) == [walked(roots, p) for p in points]
+            assert calls[:len(roots)] == [points[0]] * len(roots)
+            assert len(calls) == len(roots) * (1 + len(points))   # the walk, then walked()
+
+    def test_tape_from_the_first_complete_walk(self, rng, monkeypatch):
+        calls = count_walks(monkeypatch)
+        f = rand_smooth_field(rng) + parse("y*z")
+        inverse = parse("1/x")
+        roots = [f, f.diff("y") * inverse, inverse + f]
+        points = [(0.0, 0.5, 0.5), (0.25, -0.5, 1.0), (-1.5, 0.3, 0.1), (0.0, 1.0, -1.0)]
+        got = replayed(roots, points)
+        # the first point stops at 1/x inside the second root, the second is
+        # walked whole, and only its tape serves the third and fourth
+        assert calls == [points[0]] * 2 + [points[1]] * 3
+        assert got == [walked(roots, p) for p in points]
+        for i in (0, 3):
+            assert got[i][1] == ("division by zero", points[i], "1/x")
+            assert len(got[i][0]) == 1
+
+    def test_failure_at_a_shared_node(self, rng):
+        f = rand_smooth_field(rng) + parse("x*z")
+        shared = parse("sqrt(x - 0.5)")
+        # the last root completes inside the second before the failure, and
+        # still is not returned: the walk never reaches it
+        roots = [f, shared * f.diff("x"), f.diff("z") - shared, f * f, f.diff("x")]
+        points = [(1.0, 0.2, 0.3), (0.7, -1.0, 0.4), (0.2, 0.1, 0.1), (1.5, 1.0, -0.3)]
+        got = replayed(roots, points)
+        assert got == [walked(roots, p) for p in points]
+        # the second root meets the failure first; the roots after it never complete
+        assert got[2][1] == ("square root of a negative number", (0.2, 0.1, 0.1), "sqrt(x - 0.5)")
+        assert len(got[2][0]) == 1 and len(got[3][0]) == len(roots)
+
+    @pytest.mark.parametrize("text, point, reason", REPLAYED,
+                             ids=[text for text, _, _ in REPLAYED])
+    def test_every_reason_at_a_replayed_point(self, text, point, reason, monkeypatch):
+        f = parse(text)
+        walked_bad = walked([f], point)
+        calls = count_walks(monkeypatch)
+        got = replayed([f], [ORIGIN, point, ORIGIN])
+        assert calls == [ORIGIN]
+        assert got == [walked([f], ORIGIN), walked_bad, walked([f], ORIGIN)]
+        assert got[1] == ([], (reason, point, f._short_text()))
+
+
 class TestSimplification:
     def test_neutral_elements_fold(self):
         x = parse("x")
@@ -464,7 +549,7 @@ class TestSimplification:
 
 def reference_value(f, p, memo=None):
     """Value of ``f`` at ``p`` by plain recursion over the node types; shares
-    no code with :meth:`ScalarField.evaluate` and its ``_eval`` methods."""
+    no code with :meth:`ScalarField.evaluate` and the nodes' ``_fn`` operations."""
     memo = {} if memo is None else memo
     if id(f) in memo:
         return memo[id(f)]
