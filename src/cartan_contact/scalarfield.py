@@ -11,24 +11,25 @@ Simplification is deliberately limited to constant folding and
 neutral-element elimination (``u+0``, ``u*1``, ``u*0``); correctness is
 defined by numeric evaluation, never by canonical form.  Constants are
 finite: a non-finite Python number is refused with ``ValueError``.
-Construction shares subtrees and derivatives are cached per node, so
-repeated differentiation of derived quantities stays cheap.  While an intern
-table is open (``reduction`` opens one around each build), the smart
-constructors are memoised by their operands, in order, so a structure built
-twice is one node (hash-consing, Filliatre & Conchon 2006) and printing and
-evaluation order do not change.  The derivatives of ``sqrt`` and ``exp``
-reuse their value through one twin node each, made past the table, so no
-node reaches itself through its derivative cache and reference counting
-alone frees a DAG.
+Construction shares subtrees and each node caches its three partial
+derivatives, so repeated differentiation of derived quantities stays cheap.
+The smart constructors return an operand or a shared constant where a
+neutral element allows; otherwise, while an intern table is open
+(``reduction`` opens one around each build), they are memoised by node class
+and operands, in order, so a structure built twice is one node
+(hash-consing, Filliatre & Conchon 2006) and printing and evaluation order
+do not change.  The derivatives of ``sqrt`` and ``exp`` reuse their value
+through one twin node each, made past the table, so no node reaches itself
+through its derivative cache and reference counting alone frees a DAG.
 
 Differentiation and evaluation are each one post-order walk over the shared
-nodes: a node's ``_diff`` receives its children's derivatives and its
-operation ``_fn`` (a C-level callable but for ``Pow``) their values, so each
-distinct node costs a few dictionary operations and one call.  Over several
-points, ``_evaluate_points`` walks the first and replays the walk's
-completion order at the others.  Parsing, differentiation, evaluation and
-printing all work with explicit stacks, so neither long sums nor deep
-nesting need recursion.
+nodes.  Differentiation gives a node all three partials at once (vector
+forward mode), calling its ``_diff`` per axis on its children's partials;
+evaluation applies its operation ``_fn`` (a C-level callable but for
+``Pow``) to its children's values.  Over several points,
+``_evaluate_points`` walks the first and replays the walk's completion order
+at the others.  Parsing, differentiation, evaluation and printing all work
+with explicit stacks, so neither long sums nor deep nesting need recursion.
 """
 from __future__ import annotations
 
@@ -136,14 +137,15 @@ def _coord_key(var) -> int:
 class ScalarField:
     """Base class for symbolic expression nodes.
 
-    Instances are immutable after construction apart from a per-node
-    derivative cache that :meth:`diff` fills lazily.  Evaluation mutates no
-    node, so several threads may evaluate shared nodes; differentiation is
-    not guarded by a lock, so differentiate shared nodes from one thread at
-    a time.  The intern table is one per process, opened by the outermost
-    scope and dropped when it ends; any thread may build while it is open,
-    or while another thread opens or drops it, because it only memoises pure
-    constructors: a hit returns a node of the structure a miss would build.
+    Instances are immutable after construction apart from the tuple of
+    three partial derivatives that :meth:`diff` caches on first use.
+    Evaluation mutates no node, so several threads may evaluate shared
+    nodes; differentiation is not guarded by a lock, so differentiate shared
+    nodes from one thread at a time.  The intern table is one per process,
+    opened by the outermost scope and dropped when it ends; any thread may
+    build while it is open, or while another thread opens or drops it,
+    because it only memoises pure constructors: a hit returns a node of the
+    structure a miss would build.
 
     No node class defines ``__eq__`` or ``__hash__``: nodes compare and hash
     by identity, which is what lets :meth:`evaluate` key its memo by node.
@@ -151,7 +153,7 @@ class ScalarField:
     ``__eq__`` would merge their memo entries.
     """
 
-    __slots__ = ("_derivs",)   # every constructor sets it, to _NO_DERIVS
+    __slots__ = ("_derivs",)   # every constructor sets it, to None
 
     _children: tuple = ()
     _prec = _P_ATOM
@@ -204,27 +206,27 @@ class ScalarField:
     def diff(self, var) -> "ScalarField":
         """Exact symbolic partial derivative with respect to x, y or z.
 
-        Derivatives are cached per node.  One post-order walk with an explicit
-        stack differentiates the nodes whose derivative is not cached yet:
-        each node's ``_diff`` receives its children's derivatives, read from
-        their caches, so deep expressions (long sums, say) need no recursion
-        and no node is differentiated twice.
+        Each node caches all three partials, as one tuple.  One post-order
+        walk with an explicit stack fills that tuple on every node that has
+        none yet: each node's ``_diff`` runs once per axis and reads its
+        children's tuples, so deep expressions (long sums, say) need no
+        recursion, no node is differentiated twice, and later calls along
+        any axis only read the cache.
         """
         k = _coord_key(var)
         stack = [self]
         push, pop = stack.append, stack.pop
         while stack:
             node = pop()
-            cache = node._derivs
-            if k in cache:
+            if node._derivs is not None:
                 continue
             kids = node._children
             if not kids:
                 dk = ()
             elif len(kids) == 2:
                 a, b = kids
-                da = a._derivs.get(k)
-                db = b._derivs.get(k)
+                da = a._derivs
+                db = b._derivs
                 if da is None or db is None:
                     push(node)
                     if da is None:
@@ -234,20 +236,19 @@ class ScalarField:
                     continue
                 dk = (da, db)
             else:
-                da = kids[0]._derivs.get(k)
+                da = kids[0]._derivs
                 if da is None:
                     push(node)
                     push(kids[0])
                     continue
                 dk = (da,)
-            if cache is _NO_DERIVS:
-                cache = node._derivs = {}
-            cache[k] = node._diff(k, dk)
+            d = node._diff
+            node._derivs = (d(0, dk), d(1, dk), d(2, dk))
         return self._derivs[k]
 
     def _diff(self, k: int, dk: tuple) -> "ScalarField":
         """This node's derivative along axis ``k``, given ``dk``, the
-        derivatives of its children along the same axis."""
+        derivative tuples of its children: ``dk[i][k]`` is child i's."""
         raise NotImplementedError
 
     # -- evaluation ---------------------------------------------------------
@@ -342,7 +343,7 @@ class Const(ScalarField):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
-        self._derivs = _NO_DERIVS
+        self._derivs = None
         self.value = float(value)
 
     @property
@@ -366,7 +367,7 @@ class Var(ScalarField):
     __slots__ = ("index",)
 
     def __init__(self, index: int) -> None:
-        self._derivs = _NO_DERIVS
+        self._derivs = None
         self.index = index
 
     def _diff(self, k, dk):
@@ -383,7 +384,7 @@ class _Binary(ScalarField):
     __slots__ = ("_children",)
 
     def __init__(self, a: ScalarField, b: ScalarField) -> None:
-        self._derivs = _NO_DERIVS
+        self._derivs = None
         self._children = (a, b)
 
     def _text(self, kids):
@@ -398,7 +399,7 @@ class Add(_Binary):
     _fn = operator.add
 
     def _diff(self, k, dk):
-        return _add(dk[0], dk[1])
+        return _add(dk[0][k], dk[1][k])
 
 
 class Sub(_Binary):
@@ -409,7 +410,7 @@ class Sub(_Binary):
     _fn = operator.sub
 
     def _diff(self, k, dk):
-        return _sub(dk[0], dk[1])
+        return _sub(dk[0][k], dk[1][k])
 
 
 class Mul(_Binary):
@@ -421,7 +422,7 @@ class Mul(_Binary):
 
     def _diff(self, k, dk):
         a, b = self._children
-        return _add(_mul(dk[0], b), _mul(a, dk[1]))
+        return _add(_mul(dk[0][k], b), _mul(a, dk[1][k]))
 
 
 class Div(_Binary):
@@ -433,7 +434,7 @@ class Div(_Binary):
 
     def _diff(self, k, dk):
         a, b = self._children
-        return _sub(_div(dk[0], b), _div(_mul(a, dk[1]), _mul(b, b)))
+        return _sub(_div(dk[0][k], b), _div(_mul(a, dk[1][k]), _mul(b, b)))
 
 
 class Neg(ScalarField):
@@ -443,11 +444,11 @@ class Neg(ScalarField):
     _fn = operator.neg
 
     def __init__(self, a: ScalarField) -> None:
-        self._derivs = _NO_DERIVS
+        self._derivs = None
         self._children = (a,)
 
     def _diff(self, k, dk):
-        return _neg(dk[0])
+        return _neg(dk[0][k])
 
     def _text(self, kids):
         return f"-{kids[0]}"
@@ -456,18 +457,23 @@ class Neg(ScalarField):
 class Pow(ScalarField):
     """Integer power of a field; the only power form the grammar admits."""
 
-    __slots__ = ("_children", "exponent")
+    __slots__ = ("_children", "exponent", "_coef")
     _prec = _P_POW
     _kid_prec = (_P_ATOM,)
 
     def __init__(self, base: ScalarField, exponent: int) -> None:
-        self._derivs = _NO_DERIVS
+        self._derivs = None
         self._children = (base,)
         self.exponent = exponent
+        self._coef = None
 
     def _diff(self, k, dk):
-        n = self.exponent
-        return _mul(_mul(Const(n), _pow(self._children[0], n - 1)), dk[0])
+        # the three axes share one coefficient n*u^(n-1)
+        coef = self._coef
+        if coef is None:
+            n = self.exponent
+            coef = self._coef = _mul(Const(n), _pow(self._children[0], n - 1))
+        return _mul(coef, dk[0][k])
 
     def _fn(self, v):
         return v ** self.exponent
@@ -482,7 +488,7 @@ class Call(ScalarField):
     _kid_prec = (_P_ADD,)
 
     def __init__(self, fn: str, arg: ScalarField) -> None:
-        self._derivs = _NO_DERIVS
+        self._derivs = None
         self._children = (arg,)
         self.fn = fn
         self._fn = _FUNCTIONS[fn]
@@ -490,7 +496,7 @@ class Call(ScalarField):
 
     def _diff(self, k, dk):
         u = self._children[0]
-        du = dk[0]
+        du = dk[0][k]
         if self.fn == "sin":
             return _mul(_call("cos", u), du)
         if self.fn == "cos":
@@ -571,9 +577,6 @@ def _evaluate_points(roots, points):
         yield [vals[r] for r in takewhile(vals.__contains__, roots)], error
 
 
-# the derivative cache of a node not yet differentiated; diff gives a node
-# its own dict before storing a derivative, so this one stays empty
-_NO_DERIVS: dict = {}
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
 _TWO = Const(2.0)
@@ -641,20 +644,23 @@ class _interning:
             _table = None
 
 
-def _interned(build):
-    """``build`` memoised in the open intern table.  The key is ``build`` and
-    its arguments themselves, never their ids: a key holds its child nodes,
-    so no id is reused while the table lives.  Operands keep their order."""
-    def constructor(*args):
-        table = _table
-        if table is None:
-            return build(*args)
-        key = (build, *args)
+def _node(cls, a, b, fold):
+    """``cls(a, b)`` (``cls(a)`` if ``b`` is None), folded if ``fold`` says
+    every operand is a Const, memoised in the open intern table under
+    ``(cls, a, b)``: operands in order, and never their ids, so no id is
+    reused while the table lives."""
+    table = _table
+    if table is not None:
+        key = (cls, a, b)
         node = table.get(key)
-        if node is None:
-            node = table[key] = build(*args)
-        return node
-    return constructor
+        if node is not None:
+            return node
+    node = cls(a) if b is None else cls(a, b)
+    if fold:
+        node = _fold(node)
+    if table is not None:
+        table[key] = node
+    return node
 
 
 def _fold(node):
@@ -668,11 +674,10 @@ def _fold(node):
     return Const(value) if math.isfinite(value) else node
 
 
-# each binary constructor reads an operand's value only if it is a Const:
-# neutral elements first, which keeps fixed-point transformations
-# identity-stable, then the fold of two constants
+# each constructor returns an operand or a shared constant where a neutral
+# element allows, before the table, which keeps fixed-point transformations
+# identity-stable; a binary one reads an operand's value only if it is a Const
 
-@_interned
 def _add(a, b):
     ka = a.value if type(a) is Const else None
     kb = b.value if type(b) is Const else None
@@ -680,10 +685,9 @@ def _add(a, b):
         return a
     if ka == 0.0:
         return b
-    return Add(a, b) if ka is None or kb is None else _fold(Add(a, b))
+    return _node(Add, a, b, ka is not None and kb is not None)
 
 
-@_interned
 def _sub(a, b):
     ka = a.value if type(a) is Const else None
     kb = b.value if type(b) is Const else None
@@ -691,10 +695,9 @@ def _sub(a, b):
         return a
     if ka == 0.0:
         return _neg(b)
-    return Sub(a, b) if ka is None or kb is None else _fold(Sub(a, b))
+    return _node(Sub, a, b, ka is not None and kb is not None)
 
 
-@_interned
 def _mul(a, b):
     ka = a.value if type(a) is Const else None
     kb = b.value if type(b) is Const else None
@@ -704,10 +707,9 @@ def _mul(a, b):
         return b
     if ka == 0.0 or kb == 0.0:
         return _ZERO
-    return Mul(a, b) if ka is None or kb is None else _fold(Mul(a, b))
+    return _node(Mul, a, b, ka is not None and kb is not None)
 
 
-@_interned
 def _div(a, b):
     ka = a.value if type(a) is Const else None
     kb = b.value if type(b) is Const else None
@@ -715,28 +717,25 @@ def _div(a, b):
         return a
     if ka == 0.0:
         return _ZERO
-    return Div(a, b) if ka is None or kb is None else _fold(Div(a, b))
+    return _node(Div, a, b, ka is not None and kb is not None)
 
 
-@_interned
 def _neg(a):
     if type(a) is Neg:
         return a._children[0]
-    return _fold(Neg(a)) if type(a) is Const else Neg(a)
+    return _node(Neg, a, None, type(a) is Const)
 
 
-@_interned
 def _pow(base, n: int):
     if n == 0:
         return _ONE
     if n == 1:
         return base
-    return _fold(Pow(base, n)) if type(base) is Const else Pow(base, n)
+    return _node(Pow, base, n, type(base) is Const)
 
 
-@_interned
 def _call(fn, arg):
-    return _fold(Call(fn, arg)) if type(arg) is Const else Call(fn, arg)
+    return _node(Call, fn, arg, type(arg) is Const)
 
 
 def _coerce(v) -> "ScalarField | None":

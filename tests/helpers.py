@@ -122,6 +122,27 @@ def reachable(*roots) -> set:
     return seen
 
 
+def dag_shape(*roots) -> tuple:
+    """The DAG below ``roots`` up to node identity: each distinct node once,
+    children first, as its class, its own data and its children's positions,
+    then the roots' positions.  Equal shapes mean the same nodes, sharing
+    included."""
+    index, shape = {}, []
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, ready = stack.pop()
+        if node in index:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(node._children))
+            continue
+        index[node] = len(shape)
+        own = tuple(getattr(node, name, None) for name in ("value", "index", "fn", "exponent"))
+        shape.append((type(node).__name__, own, tuple(index[kid] for kid in node._children)))
+    return tuple(shape), tuple(index[root] for root in roots)
+
+
 def count_walks(monkeypatch) -> list:
     """The point of each ScalarField.evaluate call, recorded while ``monkeypatch`` lasts."""
     calls = []

@@ -28,7 +28,7 @@ from cartan_contact.reduction import (
     reduce,
 )
 from cartan_contact.scalarfield import DomainError, exp, parse, sqrt
-from helpers import THREE_POINTS, reachable, respan_pd
+from helpers import THREE_POINTS, dag_shape, reachable, respan_pd
 
 # det3 = exp(x) + 1, nowhere zero
 EXP_CASE = (("1", "0", "-y"), ("0", "1", "exp(x)"))
@@ -64,6 +64,51 @@ class TestNoCycles:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert leaked == 0
+
+
+class TestNeutralElements:
+    @pytest.mark.parametrize("build, want", [
+        (lambda f: f + 0, "f"), (lambda f: 0 + f, "f"), (lambda f: f - 0, "f"),
+        (lambda f: f * 1, "f"), (lambda f: 1 * f, "f"), (lambda f: f * 0, "zero"),
+        (lambda f: f / 1, "f")], ids=["f+0", "0+f", "f-0", "f*1", "1*f", "f*0", "f/1"])
+    def test_return_before_the_table(self, build, want):
+        f = parse("x*y")
+        with scalarfield._interning():
+            size = len(scalarfield._table)
+            got = build(f)
+            assert len(scalarfield._table) == size
+        assert got is (f if want == "f" else scalarfield._ZERO)
+
+
+class TestOneWalkGradient:
+    TEXT = "sqrt(x*y + z^2)/(1 + exp(x*z)) - sin(y)^3*cos(x - z) + (x*y)^3"
+
+    def test_first_axis_fills_all_three(self):
+        with scalarfield._interning():
+            f = parse(self.TEXT)
+            dx = f.diff("x")
+            size = len(scalarfield._table)
+            dy, dz = f.diff("y"), f.diff("z")
+            assert len(scalarfield._table) == size
+            assert (dx, dy, dz) == (f.diff("x"), f.diff("y"), f.diff("z"))
+
+    def test_axis_order_gives_identical_nodes(self):
+        shapes = []
+        for axes in ("xyz", "zyx"):
+            with scalarfield._interning():
+                f = parse(self.TEXT)
+                partials = {axis: f.diff(axis) for axis in axes}
+                shapes.append(dag_shape(f, *(partials[axis] for axis in "xyz")))
+        assert shapes[0] == shapes[1]
+
+    def test_power_coefficient_shared_across_axes(self):
+        f = parse("(x*y)^3")
+        with scalarfield._interning():
+            dx, dy = f.diff("x"), f.diff("y")
+        # 3*(x*y)^2*y and 3*(x*y)^2*x: one coefficient, one Const 3
+        assert dx._children[0] is dy._children[0]
+        assert dx._children[0].to_text() == "3*(x*y)^2"
+        assert len(reachable(dx, dy)) == 8
 
 
 class TestScope:

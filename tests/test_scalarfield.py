@@ -155,9 +155,13 @@ class TestParse:
         f = parse("sqrt(" * 100_000 + "x" + ")" * 100_000)
         assert f.evaluate((1.0, 0.0, 0.0)) == 1.0
         assert f.diff("x") is f.diff("x")
-        # each level halves the derivative at x = 1
-        assert parse("sqrt(" * 1000 + "x" + ")" * 1000).diff("x").evaluate(
-            (1.0, 0.0, 0.0)) == 2.0 ** -1000
+
+    @pytest.mark.parametrize("axis, want", [("x", 2.0 ** -1000), ("z", 0.0)])
+    def test_1000_levels_differentiate_without_recursion(self, axis, want):
+        # the first diff call walks every level, along any axis; each level
+        # halves the x-derivative at x = 1
+        f = parse("sqrt(" * 1000 + "x" + ")" * 1000)
+        assert f.diff(axis).evaluate((1.0, 0.0, 0.0)) == want
 
     @pytest.mark.parametrize("text, reason", UNFOLDABLE,
                              ids=[text for text, _ in UNFOLDABLE])
