@@ -52,7 +52,7 @@ from .reduction import (
     IDENTITY_TOL,
     ZERO_TOL,
 )
-from .scalarfield import ExpressionSyntaxError, Point, parse as parse_expression
+from .scalarfield import ExpressionSyntaxError, Point, _interning, parse as parse_expression
 
 SCHEMA = "cartan-contact/1"
 
@@ -272,16 +272,14 @@ def _load_json(text: str, where: str):
 
 
 def build_distribution(spec: InputSpec) -> Distribution:
-    comps = {}
-    for key, exprs in (("X1", spec.x1), ("X2", spec.x2)):
-        parsed = []
-        for i, text in enumerate(exprs):
+    parsed = []
+    with _interning():   # one table for all six, as in Distribution.from_components
+        for i, text in enumerate(spec.x1 + spec.x2):
             try:
                 parsed.append(parse_expression(text))
             except ExpressionSyntaxError as exc:
-                raise CliError(f"fields.{key}[{i}]: {exc}") from exc
-        comps[key] = VectorField(*parsed)
-    return Distribution(comps["X1"], comps["X2"], name=spec.name)
+                raise CliError(f"fields.X{i // 3 + 1}[{i % 3}]: {exc}") from exc
+    return Distribution(VectorField(*parsed[:3]), VectorField(*parsed[3:]), name=spec.name)
 
 
 # -- report assembly ----------------------------------------------------------

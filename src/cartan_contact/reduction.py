@@ -33,7 +33,8 @@ the same outputs, and for the residual T312 of :func:`reduce`.
 from __future__ import annotations
 
 from ._record import Record, replace
-from .scalarfield import Point, ScalarField, _evaluate_points, _interning, as_field, sqrt
+from .scalarfield import (Point, ScalarField, _evaluate_points, _interning, _point_tuple,
+                          as_field, sqrt)
 from .forms import (
     Coframe,
     Frame,
@@ -136,7 +137,9 @@ class Distribution(Record):
 
     @classmethod
     def from_components(cls, x1, x2, name: str = "") -> "Distribution":
-        return cls(VectorField(*x1), VectorField(*x2), name=name)
+        """Parses the six components in one intern table: a repeated structure is one node."""
+        with _interning():
+            return cls(VectorField(*x1), VectorField(*x2), name=name)
 
 
 class PointClassification(Record):
@@ -264,7 +267,7 @@ def classify(D: Distribution, points) -> Classification:
     are undefined at every point.  This is the library's only per-point
     degeneracy check; the stage builders only construct.
     """
-    points = list(points)
+    points = [Point(*_point_tuple(p)) for p in points]
     if not points:
         raise ValueError("classification needs a nonempty point list")
     bracket = commutator(D.X1, D.X2)
@@ -380,16 +383,17 @@ def extract_invariants(A: AdaptedCoframe) -> InvariantReport:
     killing the eta^1^eta^2 torsion of both equations and balancing the two
     off-diagonal coefficients is A1 = R1, A2 = R2, A3 = -(P1 + Q2)/2; then
     a1 = (P1 - Q2)/2, a2 = Q1.  The identity d(d eta^3) = 0 forces Q1 = P2,
-    recorded as the q1_minus_p2 residual.
+    recorded as the q1_minus_p2 residual.  Builds in the open intern table or its own.
     """
     if A.stage != "B2":
         raise ValueError(f"extract_invariants expects stage B2, got {A.stage}")
-    p1, q1, r1 = _row(A.coframe.eta1, A.frame)
-    p2, q2, r2 = _row(A.coframe.eta2, A.frame)
+    with _interning():
+        p1, q1, r1 = _row(A.coframe.eta1, A.frame)
+        p2, q2, r2 = _row(A.coframe.eta2, A.frame)
+        dd = exterior_derivative2(exterior_derivative(A.coframe.eta3))
     a1 = (p1 - q2) / 2
     a2 = q1
     m = a1 * a1 + a2 * a2
-    dd = exterior_derivative2(exterior_derivative(A.coframe.eta3))
     return InvariantReport(
         a1=a1,
         a2=a2,
@@ -502,7 +506,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     1e-6 max(1, |a1|, |a2|): it is exact.
     """
     with _interning():
-        cls = classify(D, [p if isinstance(p, Point) else Point(*p) for p in points])
+        cls = classify(D, points)
         if cls.kind == "holonomic":
             raise HolonomicError(cls)
         if cls.kind == "mixed":

@@ -11,16 +11,13 @@ Simplification is deliberately limited to constant folding and
 neutral-element elimination (``u+0``, ``u*1``, ``u*0``); correctness is
 defined by numeric evaluation, never by canonical form.  Constants are
 finite: a non-finite Python number is refused with ``ValueError``.
-Construction shares subtrees and each node caches its three partial
-derivatives, so repeated differentiation of derived quantities stays cheap.
-The smart constructors return an operand or a shared constant where a
-neutral element allows; otherwise, while an intern table is open
-(``reduction`` opens one around each build), they are memoised by node class
-and operands, in order, so a structure built twice is one node
-(hash-consing, Filliatre & Conchon 2006) and printing and evaluation order
-do not change.  The derivatives of ``sqrt`` and ``exp`` reuse their value
-through one twin node each, made past the table, so no node reaches itself
-through its derivative cache and reference counting alone frees a DAG.
+Nodes are shared by one rule, given under :class:`ScalarField`, and each
+caches its three partial derivatives: in an intern table a structure built
+twice is one node (hash-consing, Filliatre & Conchon 2006), and printing
+and evaluation order do not change.  The derivatives of ``sqrt`` and
+``exp`` reuse their value through one twin node each, made past the table,
+so no node reaches itself through its derivative cache and reference
+counting alone frees a DAG.
 
 Differentiation and evaluation are each one post-order walk over the shared
 nodes.  Differentiation gives a node all three partials at once (vector
@@ -137,15 +134,22 @@ def _coord_key(var) -> int:
 class ScalarField:
     """Base class for symbolic expression nodes.
 
+    The sharing rule: ``parse`` returns three module-level nodes for x, y
+    and z, born with their partials; while an intern table is open, every
+    smart constructor memoises its node by class and operands in order, and
+    a parsed literal or a derivative's coefficient by value.  Constants from
+    Python numbers and from folding stay unshared, since a value key would
+    merge -0.0 with +0.0.  The table is one per process, opened by the
+    outermost scope (a distribution's parse, a build) and dropped when it
+    ends; any thread may build while it is open, or while another thread
+    opens or drops it, because it only memoises pure constructors: a hit
+    returns a node of the structure a miss would build.
+
     Instances are immutable after construction apart from the tuple of
     three partial derivatives that :meth:`diff` caches on first use.
     Evaluation mutates no node, so several threads may evaluate shared
     nodes; differentiation is not guarded by a lock, so differentiate shared
-    nodes from one thread at a time.  The intern table is one per process,
-    opened by the outermost scope and dropped when it ends; any thread may
-    build while it is open, or while another thread opens or drops it,
-    because it only memoises pure constructors: a hit returns a node of the
-    structure a miss would build.
+    nodes from one thread at a time.
 
     No node class defines ``__eq__`` or ``__hash__``: nodes compare and hash
     by identity, which is what lets :meth:`evaluate` key its memo by node.
@@ -367,11 +371,8 @@ class Var(ScalarField):
     __slots__ = ("index",)
 
     def __init__(self, index: int) -> None:
-        self._derivs = None
+        self._derivs = tuple(_ONE if k == index else _ZERO for k in range(3))
         self.index = index
-
-    def _diff(self, k, dk):
-        return _ONE if k == self.index else _ZERO
 
     def _eval(self, pt):
         return pt[self.index]
@@ -455,9 +456,10 @@ class Neg(ScalarField):
 
 
 class Pow(ScalarField):
-    """Integer power of a field; the only power form the grammar admits."""
+    """Integer power u^n, the only power form the grammar admits; while a
+    table is open its three partials share one coefficient node n*u^(n-1)."""
 
-    __slots__ = ("_children", "exponent", "_coef")
+    __slots__ = ("_children", "exponent")
     _prec = _P_POW
     _kid_prec = (_P_ATOM,)
 
@@ -465,15 +467,10 @@ class Pow(ScalarField):
         self._derivs = None
         self._children = (base,)
         self.exponent = exponent
-        self._coef = None
 
     def _diff(self, k, dk):
-        # the three axes share one coefficient n*u^(n-1)
-        coef = self._coef
-        if coef is None:
-            n = self.exponent
-            coef = self._coef = _mul(Const(n), _pow(self._children[0], n - 1))
-        return _mul(coef, dk[0][k])
+        u, n = self._children[0], self.exponent
+        return _mul(_mul(_node(Const, n, None, False), _pow(u, n - 1)), dk[0][k])
 
     def _fn(self, v):
         return v ** self.exponent
@@ -507,7 +504,7 @@ class Call(ScalarField):
         if twin is None:
             twin = self._twin = Call(self.fn, u)
         if self.fn == "sqrt":
-            return _div(du, _mul(_TWO, twin))
+            return _div(du, _mul(_node(Const, 2, None, False), twin))
         return _mul(twin, du)  # exp
 
     def _text(self, kids):
@@ -579,7 +576,7 @@ def _evaluate_points(roots, points):
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
-_TWO = Const(2.0)
+_COORDS = (Var(0), Var(1), Var(2))
 
 
 def _print(root: ScalarField, depth: int) -> str:
@@ -872,11 +869,11 @@ def _parse_tokens(text: str, tokens: list[_Token]) -> ScalarField:
         tok = tokens[i]
         i += 1
         if tok.kind == "num":
-            vals.append(Const(tok.value))
+            vals.append(_node(Const, tok.value, None, False))
         elif tok.kind == "ident":
             name = tok.value
             if name in _COORD_INDEX:
-                vals.append(Var(_COORD_INDEX[name]))
+                vals.append(_COORDS[_COORD_INDEX[name]])
             elif name not in _FUNCTIONS:
                 raise UnknownIdentifier(name, _byte_offset(text, tok.pos))
             elif tokens[i].value != "(":

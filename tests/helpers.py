@@ -63,7 +63,7 @@ def rand_smooth_field(rng: random.Random, depth: int = 3):
         which = rng.randrange(5)
         if which <= 1:
             return sf.as_field(round(rng.uniform(-2.0, 2.0), 3))
-        return sf.Var(which - 2)
+        return sf._COORDS[which - 2]
     op = rng.randrange(8)
     a = rand_smooth_field(rng, depth - 1)
     if op == 0:
@@ -85,7 +85,7 @@ def rand_smooth_field(rng: random.Random, depth: int = 3):
 
 def rand_poly_field(rng: random.Random, terms: int = 3):
     """Random polynomial with small integer coefficients; float-exact algebra."""
-    x, y, z = sf.Var(0), sf.Var(1), sf.Var(2)
+    x, y, z = sf._COORDS
     acc = sf.as_field(rng.randint(-2, 2))
     for _ in range(terms):
         term = sf.as_field(rng.randint(-3, 3))

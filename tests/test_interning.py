@@ -1,7 +1,8 @@
 """The intern table of ``scalarfield`` and the cycle-free derivatives.
 
-``reduce``, ``build_adapted`` and ``contact_torsion`` build inside an intern
-table that memoises the smart constructors; the table is dropped when the
+``reduce``, ``build_adapted``, ``contact_torsion`` and ``extract_invariants``
+build, and ``Distribution.from_components`` parses, inside an intern table
+that memoises the smart constructors; the table is dropped when the
 outermost of them returns or raises.  Interning only shares nodes, so every
 value and every ``DomainError`` of the fields ``reduce`` reports, its T312
 among them, must be the one the same pipeline gives without a table.  The
@@ -17,14 +18,17 @@ import threading
 
 import pytest
 
-from cartan_contact import corpus, reduction, scalarfield
+from cartan_contact import cli, corpus, reduction, scalarfield
 from cartan_contact.reduction import (
     DegenerateInput,
     Distribution,
     HolonomicError,
     Point,
+    absorb_translations,
     build_adapted,
     contact_torsion,
+    extract_invariants,
+    normalize_scale,
     reduce,
 )
 from cartan_contact.scalarfield import DomainError, exp, parse, sqrt
@@ -111,6 +115,41 @@ class TestOneWalkGradient:
         assert len(reachable(dx, dy)) == 8
 
 
+class TestSharingRule:
+    """``parse`` returns the module's coordinate nodes; in a table a literal
+    is one Const per value, and a distribution's six components are parsed
+    in one table."""
+
+    TEXT = "sqrt(x*y + 2)/(1 + exp(x*z)) - 2*y^3"
+
+    def test_coordinates_are_module_nodes(self):
+        assert parse("x") is parse("x1")
+        assert parse("y") is parse("x2") and parse("z") is parse("x3")
+        with scalarfield._interning():
+            assert parse("x") is parse("x1")
+        assert parse("x").diff("x") is scalarfield._ONE
+
+    def test_table_shares_parsed_structure_and_literals(self):
+        def consts(f):
+            return [n for n in reachable(f) if type(n) is scalarfield.Const]
+
+        assert len(consts(parse("2*x - 2*y"))) == 2   # no table, no sharing
+        with scalarfield._interning():
+            left, right = parse("x*y + x*y")._children
+            assert left is right
+            assert len(consts(parse("2*x - 2*y"))) == 1
+            assert parse(self.TEXT) is parse(self.TEXT)
+
+    def test_distribution_components_share_one_table(self):
+        x1, x2 = ("x*y", "0", "1"), ("0", "x*y", "1")
+        spec = cli.InputSpec(name="shared", x1=x1, x2=x2, points=THREE_POINTS,
+                             tol_identity=1e-8, tol_regression=1e-6)
+        for dist in (Distribution.from_components(x1, x2), cli.build_distribution(spec)):
+            (a, _, one), (_, b, other) = dist.X1.components, dist.X2.components
+            assert a is b and one is other
+        assert scalarfield._table is None
+
+
 class TestScope:
     def test_table_shares_only_while_open(self):
         x, y = parse("x"), parse("y")
@@ -135,6 +174,8 @@ class TestScope:
             reduce(parallel, THREE_POINTS)
         assert scalarfield._table is None
         contact_torsion(build_adapted(heisenberg))
+        assert scalarfield._table is None
+        extract_invariants(absorb_translations(normalize_scale(build_adapted(heisenberg))))
         assert scalarfield._table is None
 
     def test_threads_sharing_the_table_get_the_records_of_one(self):

@@ -490,6 +490,11 @@ class TestReduce:
         rep = reduce(heisenberg, [(1.0, 0.0, 0.3)])
         assert rep.samples[0].point == Point(1.0, 0.0, 0.3)
         assert rep.samples[0].M == pytest.approx(9 / 64, rel=1e-6)
+        # converted as evaluate converts a point: float coordinates, one error
+        rep = reduce(heisenberg, [(1, 0, 0), [True, 0, 0], Point(1, 0, 0)])
+        assert [repr(s.point) for s in rep.samples] == ["Point(x=1.0, y=0.0, z=0.0)"] * 3
+        with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+            reduce(heisenberg, [(1, 2)])
 
     def test_near_holonomic_band(self):
         # det3 = 3e8 everywhere, but |[X1, X2]| grows with x: |det3| / scale
