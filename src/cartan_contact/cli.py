@@ -35,7 +35,6 @@ import sys
 
 from . import corpus as corpus_mod
 from ._record import Record
-from .forms import VectorField
 from .reduction import (
     ConsistencyError,
     DegenerateInput,
@@ -52,7 +51,7 @@ from .reduction import (
     IDENTITY_TOL,
     ZERO_TOL,
 )
-from .scalarfield import ExpressionSyntaxError, Point, _interning, parse as parse_expression
+from .scalarfield import ExpressionSyntaxError, Point
 
 SCHEMA = "cartan-contact/1"
 
@@ -272,14 +271,10 @@ def _load_json(text: str, where: str):
 
 
 def build_distribution(spec: InputSpec) -> Distribution:
-    parsed = []
-    with _interning():   # one table for all six, as in Distribution.from_components
-        for i, text in enumerate(spec.x1 + spec.x2):
-            try:
-                parsed.append(parse_expression(text))
-            except ExpressionSyntaxError as exc:
-                raise CliError(f"fields.X{i // 3 + 1}[{i % 3}]: {exc}") from exc
-    return Distribution(VectorField(*parsed[:3]), VectorField(*parsed[3:]), name=spec.name)
+    try:
+        return Distribution.from_components(spec.x1, spec.x2, name=spec.name)
+    except ExpressionSyntaxError as exc:
+        raise CliError(f"fields.{exc.component}: {exc}") from exc
 
 
 # -- report assembly ----------------------------------------------------------

@@ -33,8 +33,8 @@ the same outputs, and for the residual T312 of :func:`reduce`.
 from __future__ import annotations
 
 from ._record import Record, replace
-from .scalarfield import (Point, ScalarField, _evaluate_points, _interning, _point_tuple,
-                          as_field, sqrt)
+from .scalarfield import (ExpressionSyntaxError, Point, ScalarField, _evaluate_points,
+                          _interning, _point_tuple, as_field, sqrt)
 from .forms import (
     Coframe,
     Frame,
@@ -137,9 +137,22 @@ class Distribution(Record):
 
     @classmethod
     def from_components(cls, x1, x2, name: str = "") -> "Distribution":
-        """Parses the six components in one intern table: a repeated structure is one node."""
+        """X1 = ``x1`` and X2 = ``x2``, three fields, numbers or expression texts
+        each, parsed in one intern table, so a repeated structure is one node.
+        The one parser of a distribution's texts: a text's ExpressionSyntaxError
+        is re-raised as it is, its ``component`` set to "X1[0]" ... "X2[2]"."""
+        vectors = []
         with _interning():
-            return cls(VectorField(*x1), VectorField(*x2), name=name)
+            for k, components in enumerate((x1, x2), 1):
+                fields = []
+                for i, c in enumerate(components):
+                    try:
+                        fields.append(as_field(c))
+                    except ExpressionSyntaxError as exc:
+                        exc.component = f"X{k}[{i}]"
+                        raise
+                vectors.append(VectorField(*fields))
+        return cls(*vectors, name=name)
 
 
 class PointClassification(Record):

@@ -121,7 +121,7 @@ def _point_tuple(p) -> tuple[float, float, float]:
 
 
 def _coord_key(var) -> int:
-    if isinstance(var, int):
+    if type(var) is int:   # not a bool, though bool is an int
         if var in (0, 1, 2):
             return var
         raise ValueError(f"coordinate index out of range: {var}")
@@ -135,11 +135,11 @@ class ScalarField:
     """Base class for symbolic expression nodes.
 
     The sharing rule: ``parse`` returns three module-level nodes for x, y
-    and z, born with their partials; while an intern table is open, every
-    smart constructor memoises its node by class and operands in order, and
-    a parsed literal or a derivative's coefficient by value.  Constants from
-    Python numbers and from folding stay unshared, since a value key would
-    merge -0.0 with +0.0.  The table is one per process, opened by the
+    and z, born with their partials; every constant comes from ``_const``,
+    which returns ``_ZERO`` for a zero of either sign (a constant zero has no
+    sign) and ``_ONE`` for 1; while an intern table is open, every other
+    constant is memoised by value, and every smart constructor's node by
+    class and operands in order.  The table is one per process, opened by the
     outermost scope (a distribution's parse, a build) and dropped when it
     ends; any thread may build while it is open, or while another thread
     opens or drops it, because it only memoises pure constructors: a hit
@@ -470,7 +470,7 @@ class Pow(ScalarField):
 
     def _diff(self, k, dk):
         u, n = self._children[0], self.exponent
-        return _mul(_mul(_node(Const, n, None, False), _pow(u, n - 1)), dk[0][k])
+        return _mul(_mul(_const(n), _pow(u, n - 1)), dk[0][k])
 
     def _fn(self, v):
         return v ** self.exponent
@@ -504,7 +504,7 @@ class Call(ScalarField):
         if twin is None:
             twin = self._twin = Call(self.fn, u)
         if self.fn == "sqrt":
-            return _div(du, _mul(_node(Const, 2, None, False), twin))
+            return _div(du, _mul(_const(2), twin))
         return _mul(twin, du)  # exp
 
     def _text(self, kids):
@@ -661,14 +661,13 @@ def _node(cls, a, b, fold):
 
 
 def _fold(node):
-    """``node``, whose children are all Const, or the Const of its ``_fn``
-    on their values when that value is finite.  Where ``_fn`` raises, the
-    node is kept and evaluation reports it."""
+    """``node``, whose children are all Const, or the constant of its ``_fn``
+    on their values if finite; where ``_fn`` raises, the node stays for evaluation to report."""
     try:
         value = node._fn(*[k.value for k in node._children])
     except _FAILURES:
         return node
-    return Const(value) if math.isfinite(value) else node
+    return _const(value) if math.isfinite(value) else node
 
 
 # each constructor returns an operand or a shared constant where a neutral
@@ -735,13 +734,19 @@ def _call(fn, arg):
     return _node(Call, fn, arg, type(arg) is Const)
 
 
+def _const(value):
+    """``_ZERO`` for a zero of either sign, ``_ONE`` for 1, else the interned Const of ``value``."""
+    return _ZERO if value == 0 else _ONE if value == 1 else _node(Const, float(value), None, False)
+
+
 def _coerce(v) -> "ScalarField | None":
+    """``v`` if a field, its one constant (see ``_const``) if a finite number, else None."""
     if isinstance(v, ScalarField):
         return v
     if isinstance(v, (int, float)):
         try:
             if math.isfinite(v):
-                return Const(v)
+                return _const(v)
         except OverflowError:  # an int beyond the float range
             pass
         raise ValueError(f"a constant must be a finite number, got {v!r}")
@@ -751,8 +756,8 @@ def _coerce(v) -> "ScalarField | None":
 def as_field(v) -> ScalarField:
     """Coerce a number, expression string or field into a ScalarField.
 
-    Raises ``ValueError`` for a non-finite number, which no expression text
-    can spell.
+    A number becomes its constant by the sharing rule of :class:`ScalarField`;
+    a non-finite one, which no expression text can spell, raises ``ValueError``.
     """
     if isinstance(v, str):
         return parse(v)
@@ -869,7 +874,7 @@ def _parse_tokens(text: str, tokens: list[_Token]) -> ScalarField:
         tok = tokens[i]
         i += 1
         if tok.kind == "num":
-            vals.append(_node(Const, tok.value, None, False))
+            vals.append(_const(tok.value))
         elif tok.kind == "ident":
             name = tok.value
             if name in _COORD_INDEX:

@@ -10,7 +10,9 @@ exactly 0.
 printed when it was recorded, and ``nodes.txt`` its ``nodes`` lines: the
 distinct DAG nodes of each output of ``reduce`` and of their union, per
 distribution.  The records must match; a correct change may lower a node
-count, never raise it.
+count, never raise it.  ``scaling.txt`` holds the output of
+``tools/scaling.py``, the status counts of the same distributions under 2^k
+scaling, which must match.
 """
 from __future__ import annotations
 
@@ -47,11 +49,16 @@ def test_cli_output_matches_golden(capsys, case, argv, code):
     assert captured.err == (GOLDEN / f"{case}.err").read_text()
 
 
+def run_tool(name: str) -> str:
+    """The standard output of ``tools/<name>``, run as a script."""
+    script = GOLDEN.parent.parent / "tools" / name
+    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          check=True).stdout
+
+
 @pytest.fixture(scope="module")
 def records_output() -> list[str]:
-    script = GOLDEN.parent.parent / "tools" / "records.py"
-    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          check=True).stdout.splitlines()
+    return run_tool("records.py").splitlines()
 
 
 def test_differential_records_match_golden(records_output):
@@ -67,3 +74,7 @@ def test_node_counts_do_not_rise(records_output):
     risen = [(label, key, n, bound[key]) for (label, counts), (_, bound) in zip(got, want)
              for key, n in counts.items() if n > bound[key]]
     assert not risen, risen
+
+
+def test_scaling_counts_match_golden():
+    assert run_tool("scaling.py") == (GOLDEN / "scaling.txt").read_text()

@@ -31,7 +31,7 @@ from cartan_contact.reduction import (
     normalize_scale,
     reduce,
 )
-from cartan_contact.scalarfield import DomainError, exp, parse, sqrt
+from cartan_contact.scalarfield import DomainError, as_field, exp, parse, sqrt
 from helpers import THREE_POINTS, dag_shape, reachable, respan_pd
 
 # det3 = exp(x) + 1, nowhere zero
@@ -116,9 +116,10 @@ class TestOneWalkGradient:
 
 
 class TestSharingRule:
-    """``parse`` returns the module's coordinate nodes; in a table a literal
-    is one Const per value, and a distribution's six components are parsed
-    in one table."""
+    """``parse`` returns the module's coordinate nodes; every constant comes
+    from ``_const``, so 0 and 1 are the module's ``_ZERO`` and ``_ONE`` and,
+    in a table, any other value is one Const, however it was made; and a
+    distribution's six components are parsed in one table."""
 
     TEXT = "sqrt(x*y + 2)/(1 + exp(x*z)) - 2*y^3"
 
@@ -139,6 +140,28 @@ class TestSharingRule:
             assert left is right
             assert len(consts(parse("2*x - 2*y"))) == 1
             assert parse(self.TEXT) is parse(self.TEXT)
+
+    def test_one_constant_per_value(self):
+        x = parse("x")
+        assert as_field(2) is not as_field(2)   # no table, no sharing
+        with scalarfield._interning():
+            two = parse("2")
+            assert as_field(2) is as_field(2.0) is two
+            assert x / 2 is x / 2.0
+            assert parse("1 + 1") is as_field(1) + 1 is two
+            assert as_field(0) is as_field(-0.0) is scalarfield._ZERO
+            assert as_field(1) is scalarfield._ONE
+        assert as_field(-0.0) is scalarfield._ZERO and as_field(1.0) is scalarfield._ONE
+
+    @pytest.mark.parametrize("bad, error, offset", [
+        ("x + w", scalarfield.UnknownIdentifier, 4),
+        ("x +", scalarfield.ExpressionSyntaxError, 3)])
+    def test_from_components_names_the_bad_component(self, bad, error, offset):
+        with pytest.raises(error) as info:
+            Distribution.from_components(("1", "0", "-y"), ("0", bad, "x"))
+        assert type(info.value) is error
+        assert (info.value.component, info.value.offset) == ("X2[1]", offset)
+        assert scalarfield._table is None
 
     def test_distribution_components_share_one_table(self):
         x1, x2 = ("x*y", "0", "1"), ("0", "x*y", "1")

@@ -351,6 +351,8 @@ class TestDifferentiate:
     @pytest.mark.parametrize("var, message", [
         (3, "coordinate index out of range: 3"),
         ("w", "unknown coordinate 'w'"),
+        (True, "unknown coordinate True"),   # a bool is an int, but no axis
+        (False, "unknown coordinate False"),
     ])
     def test_unknown_coordinate_refused(self, var, message):
         with pytest.raises(ValueError, match=message):

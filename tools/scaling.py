@@ -13,8 +13,9 @@ status, and of each exception ``reduce`` raised, counted once per point of
 the case that raised it, so every line sums to the number of records; then
 ``t312_off``, the number of records whose T312 is off -1 by more than 1e-6.
 Run it in two checkouts and diff the outputs to see where a change moves the
-dynamic range.  CI diffs the output against ``tests/golden/scaling.txt``; a
-change that moves a count on purpose regenerates that file with
+dynamic range.  Tier-1 (``tests/test_golden.py``) compares the output with
+``tests/golden/scaling.txt``; a change that moves a count on purpose
+regenerates that file with
 
     python3 tools/scaling.py > tests/golden/scaling.txt
 
