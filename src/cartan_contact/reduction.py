@@ -25,10 +25,10 @@ second matrix inversion.
 The stage functions carry coordinate coframes and read each coefficient off
 a dual frame's bracket, (d eta)(e_a, e_b) = eta([e_b, e_a]).  :func:`reduce`
 reaches the same B2 section without them, from the structure functions of
-the generator frame (X1, X2, [X1, X2]) and the lower-triangular matrix taking
-it to the B0 frame, so nothing is differentiated beyond brackets and a few
-scalars.  The coordinate path stays as library API, as a second derivation of
-the same outputs, and for the residual T312 of :func:`reduce`.
+the generator frame (X1, X2, [X1, X2]) and the matrix taking it to a B0 frame
+with e3 = [X1, X2]/|X1 x X2|; nothing is differentiated beyond brackets and
+a few scalars.  The coordinate path stays as library API, a second derivation
+of the same outputs, and for the residual T312 of :func:`reduce`.
 """
 from __future__ import annotations
 
@@ -427,12 +427,14 @@ def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> Invari
     [X_i, X_j] = C^k_ij X_k, so C^k_12 = delta^k_3 and
     C^k_i3 = xi^k([X_i, X3]), xi being the coframe dual to X.  The B0 frame
     is e = A X with A lower-triangular: Gram-Schmidt gives the rows
-    (alpha, 0, 0) and (beta, gamma, 0), and e3 = [e1, e2], expanded by
-    Leibniz, the row (p, q, alpha gamma).  With e_a(f) = A_a^i X_i(f), the
-    B0 coefficients c^l_ab are minus the e_l components of [e_a, e_b], read
-    through A^-1.  The B1 flip and the B2 translations (t23, t31) =
-    (c^3_23, c^3_31) then give P_i = -c^i_23 - e2(t_i) and
-    Q_i = -c^i_31 + e1(t_i), where (t_1, t_2) = (t23, t31).
+    (alpha, 0, 0) and (beta, gamma, 0), and e3 = X3/|X1 x X2| the row
+    (0, 0, alpha gamma).  With e_a(f) = A_a^i X_i(f), b_ab is [e_a, e_b] in
+    the e basis, read through A^-1, and c^l_ab = -b_ab[l].  As [e1, e2] = e3
+    modulo the plane, t12 = -1, and c^i_12 = -b12[i] holds first derivatives
+    only.  The B1 flip and the B2 translations (t_1, t_2) = (t23, t31) =
+    (c^3_23, c^3_31) give the frame (e1, e2, t23 e1 + t31 e2 - e3) and forms
+    eta^i + t_i eta^3, whose eta^3 terms cancel: P_i = b23[i] - e2(t_i) +
+    t23 b12[i], Q_i = b31[i] + e1(t_i) + t31 b12[i], R_i = -t_i - b12[i].
 
     dd_eta3 is the l = 3 Jacobi sum of the generator frame, its form of
     d(d eta3) = 0, and scales like |X1||X2|; on the e frame the same sum is
@@ -458,15 +460,13 @@ def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> Invari
     alpha = 1 / norm(X[0])
     m = sqrt(dot(X[1], X[1]) - g12 * g12 / g11)
     beta, gamma = -g12 / (g11 * m), 1 / m
-    ag = alpha * gamma
-    p = alpha * along(0, beta) - beta * along(0, alpha) - gamma * along(1, alpha)
-    q = alpha * along(0, gamma)
-    A = ((alpha, zero, zero), (beta, gamma, zero), (p, q, ag))
+    ag = 1 / sqrt(g11 * dot(X[1], X[1]) - g12 * g12)
+    A = ((alpha, zero, zero), (beta, gamma, zero), (zero, zero, ag))
     inv = ((1 / alpha, zero, zero), (-beta / ag, 1 / gamma, zero),   # X_k = inv[k][l] e_l
-           ((beta * q - gamma * p) / (ag * ag), -q / (gamma * ag), 1 / ag))
+           (zero, zero, 1 / ag))
 
-    def e(a, f):   # e_a(f); A is lower-triangular
-        return sum((A[a][i] * along(i, f) for i in range(a + 1)), zero)
+    def e(a, f):   # e_a(f), over A's nonzero entries
+        return sum((A[a][i] * along(i, f) for i in range(3) if A[a][i] is not zero), zero)
 
     def bracket(a, b):   # [e_a, e_b] in the e basis
         v = [e(a, A[b][k]) - e(b, A[a][k])
@@ -474,17 +474,17 @@ def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> Invari
                    zero) for k in range(3)]
         return tuple(sum((v[k] * inv[k][l] for k in range(l, 3)), zero) for l in range(3))
 
-    b23, b31 = bracket(1, 2), bracket(2, 0)
+    b12, b23, b31 = bracket(0, 1), bracket(1, 2), bracket(2, 0)
     t23, t31 = -b23[2], -b31[2]
-    p1, p2 = b23[0] - e(1, t23), b23[1] - e(1, t31)
-    q1, q2 = b31[0] + e(0, t23), b31[1] + e(0, t31)
+    p1, p2 = b23[0] - e(1, t23) + t23 * b12[0], b23[1] - e(1, t31) + t23 * b12[1]
+    q1, q2 = b31[0] + e(0, t23) + t31 * b12[0], b31[1] + e(0, t31) + t31 * b12[1]
     a1 = (p1 - q2) / 2
     return InvariantReport(
         a1=a1,
         a2=q1,
         M=a1 * a1 + q1 * q1,
-        A1=-t23,
-        A2=-t31,
+        A1=-t23 - b12[0],
+        A2=-t31 - b12[1],
         A3=-(p1 + q2) / 2,
         dd_eta3=along(1, C[0, 2][2]) - along(0, C[1, 2][2]) - C[1, 2][1] - C[0, 2][0],
         q1_minus_p2=q1 - p2,
@@ -497,15 +497,15 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     The symbolic pipeline is built once, in one intern table, so a structure
     built twice is one node.  The outputs come from the structure functions
     of the generator frame (X1, X2, [X1, X2]) (:func:`_frame_invariants`):
-    the Gram-Schmidt B0 frame, the exact scale -1 to stage B1 and the B2
-    translations, in closed form.  ``dd_eta3`` is the generator frame's form
-    of d(d eta3) = 0, its l = 3 Jacobi sum; ``q1_minus_p2`` is Q1 - P2.
-    ``T312`` is :func:`contact_torsion`'s t12 of the same frame and its dual
-    coframe xi (:func:`adapted_from_orthonormal`), xi^3([X2, X1]) = -C^3_12
-    = -1, a residual for the C^k_12 = delta^k_3 that the outputs apply
-    exactly.  The six outputs are evaluated together
-    (``scalarfield._evaluate_points``), so subtrees they share are computed
-    once per point, and only the first point walks the DAG.
+    the B0 frame of the Gram-Schmidt pair and e3 = [X1, X2]/|X1 x X2|, the
+    exact scale -1 to stage B1, and the B2 translations with the c^i_12
+    terms of that e3, in closed form.  ``dd_eta3`` is the generator frame's
+    form of d(d eta3) = 0; ``q1_minus_p2`` is Q1 - P2.  ``T312`` is the t12
+    of :func:`contact_torsion` on the generator frame and its dual coframe
+    (:func:`adapted_from_orthonormal`), -C^3_12 = -1, a residual for the
+    C^k_12 = delta^k_3 that the outputs apply exactly.  The six outputs are
+    evaluated together (``scalarfield._evaluate_points``), so subtrees they
+    share are computed once per point, and only the first point walks the DAG.
 
     :func:`classify` runs first and is the pipeline's only gate: a holonomic
     or mixed classification raises :class:`HolonomicError` or

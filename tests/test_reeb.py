@@ -1,8 +1,9 @@
 """A second derivation of M, from the Reeb field (Agrachev-Barilari).
 
 ``reduce`` and both of its other oracles (``tests/jets.py`` and
-``tests/test_exact.py``) follow the Cartan reduction: Gram-Schmidt,
-e3 = [e1, e2], the B2 translations.  This oracle normalises by the Reeb
+``tests/test_exact.py``) follow the Cartan reduction: Gram-Schmidt, a third
+frame vector, the B2 translations; the oracles take e3 = [e1, e2], and
+``reduce`` takes e3 = [X1, X2]/|X1 x X2|.  This oracle normalises by the Reeb
 field instead (A. Agrachev and D. Barilari, "Sub-Riemannian structures on
 3D Lie groups", J. Dyn. Control Syst. 18, 2012) and is built from
 ``forms`` primitives only, with nothing from ``reduction``:
@@ -14,10 +15,15 @@ field instead (A. Agrachev and D. Barilari, "Sub-Riemannian structures on
 * [fi, f0] = c1_0i f1 + c2_0i f2 by Cramer's rule, and then
   chi^2 = ((c1_02 + c2_01) / 2)^2 - c1_01 c2_02 is M, while the trace
   c1_01 + c2_02 vanishes identically, a free residual.
+
+It checks four named distributions at the three points, and the 48
+field-batch distributions of ``tools/records.py`` at their points.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -75,14 +81,35 @@ CASES = {"heisenberg": lambda: corpus.distribution("heisenberg"),
          "motion-cartan": motion_cartan}
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_reeb_chi2_is_m(name):
-    dist = CASES[name]()
+def field_batch():
+    """(label, distribution, points) of ``tools/records.py``'s field-batch set."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "records.py"
+    spec = importlib.util.spec_from_file_location("records", path)
+    records = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(records)
+    return list(records.field_batch())
+
+
+FIELD_BATCH = field_batch()
+
+
+def assert_chi2_is_m(dist: Distribution, points):
     chi2, trace = reeb_chi2_and_trace(dist)
-    report = reduce(dist, THREE_POINTS)
-    assert report.n_ok == len(THREE_POINTS)
+    report = reduce(dist, points)
+    assert report.n_ok == len(points)
     for s in report.samples:
         memo: dict = {}
         got = chi2.evaluate(s.point, memo)
         assert abs(got - s.M) <= TOL * abs(s.M), (s.point, got, s.M)
         assert abs(trace.evaluate(s.point, memo)) <= TOL, s.point
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_reeb_chi2_is_m(name):
+    assert_chi2_is_m(CASES[name](), THREE_POINTS)
+
+
+@pytest.mark.parametrize("dist, points", [c[1:] for c in FIELD_BATCH],
+                         ids=[c[0] for c in FIELD_BATCH])
+def test_field_batch_reeb_chi2_is_m(dist, points):
+    assert_chi2_is_m(dist, points)

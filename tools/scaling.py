@@ -29,7 +29,7 @@ from collections import Counter
 from records import field_batch
 from cartan_contact.reduction import Distribution, reduce
 
-KS = (-400, -300, -268, -200, -150, -100, -80, -40, 0, 40, 80, 100, 120, 200)
+KS = (-400, -300, -268, -200, -150, -132, -124, -116, -100, -80, -40, 0, 40, 80, 100, 120, 200)
 STATUSES = ("ok", "singular", "holonomic-at-point")
 T312_TOL = 1e-6
 
