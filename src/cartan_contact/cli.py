@@ -42,6 +42,7 @@ from .reduction import (
     HolonomicError,
     InvariantReport,
     MixedTypeError,
+    OUTPUTS,
     SampleRecord,
     compare as compare_pipeline,
     default_grid_points,
@@ -55,8 +56,7 @@ from .scalarfield import ExpressionSyntaxError, Point
 
 SCHEMA = "cartan-contact/1"
 
-_RECORD_COLUMNS = ("point_x", "point_y", "point_z", "status", "det3", "T312",
-                   "a1", "a2", "M", "dd_eta3", "q1_minus_p2")
+_RECORD_COLUMNS = ("point_x", "point_y", "point_z", "status", "det3", *OUTPUTS)
 _SIDE_COLUMNS = ("classification", "n_ok", "n_singular", "M_min", "M_max")
 _CORPUS_COLUMNS = ("name", "classification", "T312_abs", "M_min", "M_max", "regression")
 # most points a grid may expand to, checked before any is built: a million
@@ -293,16 +293,19 @@ def _record_dict(s: SampleRecord) -> dict:
     }
 
 
-def _report(name: str, kind: str, samples) -> dict:
+def _summary(kind: str, samples) -> dict:
     m_ok = [s.M for s in samples if s.status == "ok"]
-    summary = {
+    return {
         "classification": kind,
         "M_min": _num(min(m_ok)) if m_ok else None,
         "M_max": _num(max(m_ok)) if m_ok else None,
         "n_ok": len(m_ok),
         "n_singular": len(samples) - len(m_ok),
     }
-    return {"schema": SCHEMA, "name": name, "summary": summary,
+
+
+def _report(name: str, kind: str, samples) -> dict:
+    return {"schema": SCHEMA, "name": name, "summary": _summary(kind, samples),
             "records": [_record_dict(s) for s in samples]}
 
 
@@ -378,8 +381,7 @@ def cmd_analyze(args) -> int:
 
 
 def _side_summary(name: str, report: InvariantReport) -> dict:
-    doc = report_from_invariants(name, report)
-    return {"name": name, "summary": doc["summary"]}
+    return {"name": name, "summary": _summary("contact", report.samples)}
 
 
 def cmd_compare(args) -> int:

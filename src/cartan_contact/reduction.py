@@ -89,6 +89,9 @@ IDENTITY_TOL = 1e-8
 CONSISTENCY_TOL = 1e-6
 REGRESSION_TOL = 1e-6
 ZERO_TOL = 1e-9
+# the per-point outputs that reduce evaluates, in SampleRecord's field order;
+# T312 comes first, so a record whose later outputs fail can still carry it
+OUTPUTS = ("T312", "a1", "a2", "M", "dd_eta3", "q1_minus_p2")
 
 
 class HolonomicError(ValueError):
@@ -389,34 +392,30 @@ def absorb_translations(A: AdaptedCoframe) -> AdaptedCoframe:
 
 
 def extract_invariants(A: AdaptedCoframe) -> InvariantReport:
-    """Absorb the pseudoconnection and read off the invariant M = a1^2 + a2^2.
-
-    With d eta^i = P_i eta^2^eta^3 + Q_i eta^3^eta^1 + R_i eta^1^eta^2 for
-    i = 1, 2, the unique connection alpha = A1 eta^1 + A2 eta^2 + A3 eta^3
-    killing the eta^1^eta^2 torsion of both equations and balancing the two
-    off-diagonal coefficients is A1 = R1, A2 = R2, A3 = -(P1 + Q2)/2; then
-    a1 = (P1 - Q2)/2, a2 = Q1.  The identity d(d eta^3) = 0 forces Q1 = P2,
-    recorded as the q1_minus_p2 residual.  Builds in the open intern table or its own.
-    """
+    """The invariants of a B2 section (:func:`_read_off`): its rows read off
+    the dual frame's brackets, and d(d eta^3) by coordinate exterior
+    derivatives.  Builds in the open intern table or its own."""
     if A.stage != "B2":
         raise ValueError(f"extract_invariants expects stage B2, got {A.stage}")
     with _interning():
-        p1, q1, r1 = _row(A.coframe.eta1, A.frame)
-        p2, q2, r2 = _row(A.coframe.eta2, A.frame)
-        dd = exterior_derivative2(exterior_derivative(A.coframe.eta3))
+        return _read_off(*_row(A.coframe.eta1, A.frame), *_row(A.coframe.eta2, A.frame),
+                         exterior_derivative2(exterior_derivative(A.coframe.eta3)))
+
+
+def _read_off(p1, q1, r1, p2, q2, r2, dd) -> InvariantReport:
+    """Absorb the pseudoconnection and read off the invariant M = a1^2 + a2^2.
+
+    With d eta^i = P_i eta^2^eta^3 + Q_i eta^3^eta^1 + R_i eta^1^eta^2 for
+    i = 1, 2 on a B2 section, the unique connection alpha = A1 eta^1 +
+    A2 eta^2 + A3 eta^3 killing the eta^1^eta^2 torsion of both equations
+    and balancing the two off-diagonal coefficients is A1 = R1, A2 = R2,
+    A3 = -(P1 + Q2)/2; then a1 = (P1 - Q2)/2, a2 = Q1.  The identity
+    d(d eta^3) = 0 forces Q1 = P2, recorded as the q1_minus_p2 residual;
+    ``dd`` is the caller's form of d(d eta^3) itself.
+    """
     a1 = (p1 - q2) / 2
-    a2 = q1
-    m = a1 * a1 + a2 * a2
-    return InvariantReport(
-        a1=a1,
-        a2=a2,
-        M=m,
-        A1=r1,
-        A2=r2,
-        A3=-(p1 + q2) / 2,
-        dd_eta3=dd,
-        q1_minus_p2=q1 - p2,
-    )
+    return InvariantReport(a1=a1, a2=q1, M=a1 * a1 + q1 * q1, A1=r1, A2=r2,
+                           A3=-(p1 + q2) / 2, dd_eta3=dd, q1_minus_p2=q1 - p2)
 
 
 def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> InvariantReport:
@@ -478,17 +477,8 @@ def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> Invari
     t23, t31 = -b23[2], -b31[2]
     p1, p2 = b23[0] - e(1, t23) + t23 * b12[0], b23[1] - e(1, t31) + t23 * b12[1]
     q1, q2 = b31[0] + e(0, t23) + t31 * b12[0], b31[1] + e(0, t31) + t31 * b12[1]
-    a1 = (p1 - q2) / 2
-    return InvariantReport(
-        a1=a1,
-        a2=q1,
-        M=a1 * a1 + q1 * q1,
-        A1=-t23 - b12[0],
-        A2=-t31 - b12[1],
-        A3=-(p1 + q2) / 2,
-        dd_eta3=along(1, C[0, 2][2]) - along(0, C[1, 2][2]) - C[1, 2][1] - C[0, 2][0],
-        q1_minus_p2=q1 - p2,
-    )
+    return _read_off(p1, q1, -t23 - b12[0], p2, q2, -t31 - b12[1],
+                     along(1, C[0, 2][2]) - along(0, C[1, 2][2]) - C[1, 2][1] - C[0, 2][0])
 
 
 def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> InvariantReport:
@@ -526,7 +516,7 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
             raise MixedTypeError(cls)
         section = adapted_from_orthonormal(D.X1, D.X2)
         t12 = contact_torsion(section).t12
-        inv = _frame_invariants(section.frame.fields)
+        inv = replace(_frame_invariants(section.frame.fields), T312=t12)
 
     # the undefined and holonomic-at-point samples; None where outputs are evaluated
     samples = [SampleRecord(r.point, "singular") if r.status == "undefined" else
@@ -534,20 +524,18 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
                if abs(r.det3) <= POINT_HOLONOMIC_RTOL * r.scale else None
                for r in cls.records]
     todo = [i for i, s in enumerate(samples) if s is None]
-    outputs = (t12, inv.a1, inv.a2, inv.M, inv.dd_eta3, inv.q1_minus_p2)
+    outputs = [getattr(inv, key) for key in OUTPUTS]
     points = [cls.records[i].point for i in todo]
     for i, p, (v, error) in zip(todo, points, _evaluate_points(outputs, points)):
         det3 = cls.records[i].det3
         if error is not None:
-            samples[i] = SampleRecord(p, "singular", det3=det3, T312=v[0] if v else None)
+            samples[i] = SampleRecord(p, "singular", det3, *v[:1])
             continue
-        t312, a1, a2, m, dd, q1p2 = v
-        if abs(q1p2) > CONSISTENCY_TOL * max(1.0, abs(a1), abs(a2)):
-            raise ConsistencyError(p, q1p2)
-        status = "ok" if abs(q1p2) <= identity_tol else "singular"
-        samples[i] = SampleRecord(p, status, det3=det3, T312=t312,
-                                  a1=a1, a2=a2, M=m, dd_eta3=dd, q1_minus_p2=q1p2)
-    return replace(inv, T312=t12, samples=tuple(samples), classification=cls)
+        s = SampleRecord(p, "ok", det3, *v)
+        if abs(s.q1_minus_p2) > CONSISTENCY_TOL * max(1.0, abs(s.a1), abs(s.a2)):
+            raise ConsistencyError(p, s.q1_minus_p2)
+        samples[i] = s if abs(s.q1_minus_p2) <= identity_tol else replace(s, status="singular")
+    return replace(inv, samples=tuple(samples), classification=cls)
 
 
 def compare(D1: Distribution, D2: Distribution, points,

@@ -26,7 +26,9 @@ from cartan_contact.reduction import (
     Distribution,
     HolonomicError,
     MixedTypeError,
+    OUTPUTS,
     Point,
+    SampleRecord,
     absorb_translations,
     adapted_from_orthonormal,
     build_adapted,
@@ -571,8 +573,7 @@ class TestUnitTorsionIdentity:
         bounds = dict(parse_nodes((GOLDEN / "nodes.txt").read_text().splitlines()))[name]
         dist = next(d for d in self.cases() if d.name == name)
         rep = reduce(dist, [ORIGIN])
-        outputs = {"T312": rep.T312, "a1": rep.a1, "a2": rep.a2, "M": rep.M,
-                   "dd_eta3": rep.dd_eta3, "q1_minus_p2": rep.q1_minus_p2}
+        outputs = {key: getattr(rep, key) for key in OUTPUTS}
         counts = {key: len(reachable(f)) for key, f in outputs.items()}
         counts["union"] = len(reachable(*outputs.values()))
         assert list(counts) == list(bounds)
@@ -627,13 +628,18 @@ class TestUnitTorsionIdentity:
     def test_shared_memo_is_bit_identical(self, grid):
         for dist in self.cases():
             rep = reduce(dist, grid)
-            outputs = (rep.T312, rep.a1, rep.a2, rep.M, rep.dd_eta3, rep.q1_minus_p2)
+            outputs = [getattr(rep, key) for key in OUTPUTS]
             for s in rep.samples:
                 memo = {}
                 shared = [f.evaluate(s.point, memo) for f in outputs]
                 fresh = [f.evaluate(s.point) for f in outputs]
                 assert shared == fresh
-                assert [s.T312, s.a1, s.a2, s.M, s.dd_eta3, s.q1_minus_p2] == fresh
+                assert [getattr(s, key) for key in OUTPUTS] == fresh
+
+    def test_outputs_are_the_record_fields_after_det3(self):
+        # reduce fills a record positionally from the evaluated outputs
+        fields = SampleRecord._fields
+        assert fields[fields.index("det3") + 1:] == OUTPUTS
 
 
 class TestInvariance:

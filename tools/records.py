@@ -8,9 +8,9 @@ Reduces 48 field-batch distributions (seeds 11, 31, 3 and 7, three rounds of
 and heisenberg and cartan on the default grid, and prints the ``repr`` of
 every ``SampleRecord``.  For each of those distributions, and for a constant
 respan of heisenberg whose records it does not print, it prints one ``nodes``
-line: the distinct node counts of the six outputs ``reduce`` reports and
-evaluates (T312, a1, a2, M, dd_eta3, q1_minus_p2) and of their union,
-counted by ``bench/spans.distinct_nodes``.  Run it in two checkouts and diff
+line: the distinct node counts of the outputs ``reduce`` reports and
+evaluates (``reduction.OUTPUTS``) and of their union, counted by
+``bench/spans.distinct_nodes``.  Run it in two checkouts and diff
 the outputs: they are deterministic, so any difference is a change in
 behaviour.  Tier-1 and CI hold this script's output to two files:
 ``tests/golden/records.txt`` holds the record lines, which must match, and
@@ -35,13 +35,12 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import cases  # noqa: E402
 from cartan_contact import corpus  # noqa: E402
-from cartan_contact.reduction import Distribution, default_grid_points, reduce  # noqa: E402
+from cartan_contact.reduction import OUTPUTS, Distribution, default_grid_points, reduce  # noqa: E402
 from spans import distinct_nodes  # noqa: E402
 
 SEEDS = (11, 31, 3, 7)
 ROUNDS = 3
 EXTRA_POINT = (0.1, -0.2, 0.3)
-OUTPUTS = ("T312", "a1", "a2", "M", "dd_eta3", "q1_minus_p2")
 # the constant respan (a, b, c, d): X1' = a X1 + b X2, X2' = c X1 + d X2
 RESPAN = (1.3, -0.4, 0.5, 1.1)
 
