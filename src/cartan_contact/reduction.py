@@ -82,7 +82,7 @@ __all__ = [
 # threshold of classify: a sine at or below it, or a det3 at or below it
 # times its scale, counts as vanished
 _DEGENERACY_RTOL = 1e-9
-# per-point threshold of the sampling policy in reduce
+# per-point threshold of Classification.samples(), the records reduce starts from
 POINT_HOLONOMIC_RTOL = 1e-8
 # residual tolerances; CONSISTENCY_TOL is relative to max(1, |a1|, |a2|)
 IDENTITY_TOL = 1e-8
@@ -170,9 +170,11 @@ class Classification(Record):
     records: tuple[PointClassification, ...]
 
     def samples(self) -> tuple[SampleRecord, ...]:
-        """The points' records when no reduction runs: ``holonomic-at-point``
-        where holonomic, ``singular`` elsewhere, with det3 where defined."""
-        return tuple(SampleRecord(r.point, "holonomic-at-point" if r.status == "holonomic"
+        """The one rule for the points no output is evaluated at: ``singular``
+        where undefined, ``holonomic-at-point`` where |det3| <= 1e-8 * scale,
+        ``singular`` with its det3 elsewhere, the records :func:`reduce` evaluates."""
+        return tuple(SampleRecord(r.point, "holonomic-at-point" if r.det3 is not None and
+                                  abs(r.det3) <= POINT_HOLONOMIC_RTOL * r.scale
                                   else "singular", det3=r.det3) for r in self.records)
 
 
@@ -500,11 +502,12 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     :func:`classify` runs first and is the pipeline's only gate: a holonomic
     or mixed classification raises :class:`HolonomicError` or
     :class:`MixedTypeError`, with the :class:`Classification` attached.
-    Points where a stage is undefined are ``singular``, those where |det3|
-    falls below the per-point threshold ``holonomic-at-point``, and the rest
-    ``ok`` exactly when |q1 - p2| <= ``identity_tol``; only ``ok`` points
-    enter aggregates.  No status reads the value of T312 or of ``dd_eta3``
-    (it scales like |X1||X2| under X_i -> c X_i, which leaves M unchanged).
+    The records start as :meth:`Classification.samples`; the outputs are
+    evaluated at its ``singular`` records that carry a det3, each then ``ok``
+    exactly when its outputs are defined and |q1 - p2| <= ``identity_tol``;
+    only ``ok`` points enter aggregates.  No status reads the value of T312
+    or of ``dd_eta3`` (it scales like |X1||X2| under X_i -> c X_i, which
+    leaves M unchanged).
     :class:`ConsistencyError` is raised where q1 - p2 is defined and beyond
     1e-6 max(1, |a1|, |a2|): it is exact.
     """
@@ -518,16 +521,12 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
         t12 = contact_torsion(section).t12
         inv = replace(_frame_invariants(section.frame.fields), T312=t12)
 
-    # the undefined and holonomic-at-point samples; None where outputs are evaluated
-    samples = [SampleRecord(r.point, "singular") if r.status == "undefined" else
-               SampleRecord(r.point, "holonomic-at-point", det3=r.det3)
-               if abs(r.det3) <= POINT_HOLONOMIC_RTOL * r.scale else None
-               for r in cls.records]
-    todo = [i for i, s in enumerate(samples) if s is None]
+    samples = list(cls.samples())
+    todo = [i for i, s in enumerate(samples) if s.status == "singular" and s.det3 is not None]
     outputs = [getattr(inv, key) for key in OUTPUTS]
-    points = [cls.records[i].point for i in todo]
+    points = [samples[i].point for i in todo]
     for i, p, (v, error) in zip(todo, points, _evaluate_points(outputs, points)):
-        det3 = cls.records[i].det3
+        det3 = samples[i].det3
         if error is not None:
             samples[i] = SampleRecord(p, "singular", det3, *v[:1])
             continue

@@ -116,6 +116,17 @@ class TestAnalyze:
         assert code == 2
         assert "mixed" in out
 
+    def test_mixed_band_point_is_holonomic_at_point(self, capsys, tmp_path):
+        # test_reduction's one-rule input: (2, 0, 0) has |det3| / scale 2.5e-9,
+        # holonomic-at-point in the mixed report as in reduce's
+        spec = write_spec(tmp_path, name="band", x1=("1", "0", "0"), x2=("0", "1", "1e8*x^2"),
+                          sampling={"points": [[0, 0, 0], [2, 0, 0], [0.001, 0, 0]]})
+        code, out, _ = run_cli(capsys, "analyze", spec, "--format", "json")
+        doc = json.loads(out)
+        assert (code, doc["summary"]["classification"]) == (2, "mixed")
+        assert [r["status"] for r in doc["records"]] == \
+            ["holonomic-at-point", "holonomic-at-point", "singular"]
+
     def test_unknown_identifier_diagnostic(self, capsys, tmp_path):
         spec = write_spec(tmp_path, name="bad", x1=("1", "0", "-w"))
         code, _, err = run_cli(capsys, "analyze", spec)

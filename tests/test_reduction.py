@@ -514,6 +514,25 @@ class TestReduce:
         assert band.det3 == pytest.approx(3e8, rel=1e-12)
         assert band.T312 is None and band.M is None
 
+    def test_one_rule_for_points_not_evaluated(self):
+        # det3 = 2e8 x, and |det3| / scale is 0/0, 2.5e-9 and 1e-2: classify
+        # calls the set mixed, and (2, 0, 0) lies between its 1e-9 and the
+        # per-point 1e-8, so it is holonomic-at-point where no reduction runs
+        # and where reduce runs on the contact points alike
+        dist = Distribution.from_components(("1", "0", "0"), ("0", "1", "1e8*x^2"))
+        points = [Point(0.0, 0.0, 0.0), Point(2.0, 0.0, 0.0), Point(0.001, 0.0, 0.0)]
+        cls = classify(dist, points)
+        assert cls.kind == "mixed"
+        assert [r.status for r in cls.records] == ["holonomic", "contact", "contact"]
+        assert cls.records[0].det3 == cls.records[0].scale == 0
+        ratios = [abs(r.det3) / r.scale for r in cls.records[1:]]
+        assert ratios == pytest.approx([2.5e-9, 1e-2], rel=1e-4)
+        samples = cls.samples()
+        assert [s.status for s in samples] == ["holonomic-at-point"] * 2 + ["singular"]
+        rep = reduce(dist, points[1:])
+        assert [s.status for s in rep.samples] == ["holonomic-at-point", "ok"]
+        assert rep.samples[0] == samples[1]
+
     def test_broken_identity_raises_consistency(self, heisenberg, monkeypatch):
         build = reduction._frame_invariants
         broken = lambda D: replace(build(D), q1_minus_p2=as_field(1))
