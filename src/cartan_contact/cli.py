@@ -168,6 +168,12 @@ def _points_from_sampling(sampling) -> list[Point]:
     return _points_from_grid(sampling["grid"])
 
 
+def _known_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    unknown = next((key for key in obj if key not in allowed), None)
+    if unknown is not None:
+        raise CliError(f"{where}: unknown key {unknown!r}, expected one of {', '.join(allowed)}")
+
+
 def load_spec(path_or_name: str, args) -> InputSpec:
     """Resolve a builtin name or read and validate an input file."""
     if path_or_name in corpus_mod.BUILTINS:
@@ -186,6 +192,7 @@ def load_spec(path_or_name: str, args) -> InputSpec:
             raise CliError(f"{path_or_name}: top level must be an object")
         if raw.get("schema") != SCHEMA:
             raise CliError(f"{path_or_name}: schema must be {SCHEMA!r}, got {raw.get('schema')!r}")
+        _known_keys(raw, ("schema", "name", "fields", "sampling", "tol"), path_or_name)
     fields = raw.get("fields")
     if not isinstance(fields, dict) or set(fields) != {"X1", "X2"}:
         raise CliError("fields must hold exactly X1 and X2")
@@ -200,6 +207,7 @@ def load_spec(path_or_name: str, args) -> InputSpec:
         tol = {}
     elif not isinstance(tol, dict):
         raise CliError("tol must be an object")
+    _known_keys(tol, ("identity", "regression"), "tol")
     tols = {}
     from_file = []
     for key, default in (("identity", IDENTITY_TOL), ("regression", REGRESSION_TOL)):

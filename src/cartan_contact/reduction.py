@@ -89,9 +89,6 @@ IDENTITY_TOL = 1e-8
 CONSISTENCY_TOL = 1e-6
 REGRESSION_TOL = 1e-6
 ZERO_TOL = 1e-9
-# the per-point outputs that reduce evaluates, in SampleRecord's field order;
-# T312 comes first, so a record whose later outputs fail can still carry it
-OUTPUTS = ("T312", "a1", "a2", "M", "dd_eta3", "q1_minus_p2")
 
 
 class HolonomicError(ValueError):
@@ -209,6 +206,11 @@ class SampleRecord(Record):
     M: float | None = None
     dd_eta3: float | None = None
     q1_minus_p2: float | None = None
+
+
+# the per-point outputs that reduce evaluates: SampleRecord's fields after det3;
+# T312 comes first, so a record whose later outputs fail can still carry it
+OUTPUTS = SampleRecord._fields[SampleRecord._fields.index("det3") + 1:]
 
 
 class InvariantReport(Record):
@@ -427,10 +429,12 @@ def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> Invari
 
     [X_i, X_j] = C^k_ij X_k, so C^k_12 = delta^k_3 and
     C^k_i3 = xi^k([X_i, X3]), xi being the coframe dual to X.  The B0 frame
-    is e = A X with A lower-triangular: Gram-Schmidt gives the rows
-    (alpha, 0, 0) and (beta, gamma, 0), and e3 = X3/|X1 x X2| the row
-    (0, 0, alpha gamma).  With e_a(f) = A_a^i X_i(f), b_ab is [e_a, e_b] in
-    the e basis, read through A^-1, and c^l_ab = -b_ab[l].  As [e1, e2] = e3
+    e = A X is read through its Gram-Schmidt factor R = A^-1, X_k = R_kl e_l,
+    whose rows are (|X1|, 0, 0), (g12/|X1|, m, 0) and, for e3 = X3/|X1 x X2|,
+    (0, 0, s), with m = sqrt(g22 - g12^2/g11) and s = sqrt(g11 g22 - g12^2).
+    With e_a(f) = A_a^i X_i(f), b_ab is [e_a, e_b] in the e basis, read
+    through R, and c^l_ab = -b_ab[l]: AR = I turns e_a(A_bk) R_kl into
+    -A_bk e_a(R_kl), so only R's lengths are differentiated.  As [e1, e2] = e3
     modulo the plane, t12 = -1, and c^i_12 = -b12[i] holds first derivatives
     only.  The B1 flip and the B2 translations (t_1, t_2) = (t23, t31) =
     (c^3_23, c^3_31) give the frame (e1, e2, t23 e1 + t31 e2 - e3) and forms
@@ -457,23 +461,19 @@ def _frame_invariants(X: tuple[VectorField, VectorField, VectorField]) -> Invari
     def along(i, f):   # X_i(f)
         return dot(X[i], differential(f))
 
-    g11, g12 = dot(X[0], X[0]), dot(X[0], X[1])
-    alpha = 1 / norm(X[0])
-    m = sqrt(dot(X[1], X[1]) - g12 * g12 / g11)
-    beta, gamma = -g12 / (g11 * m), 1 / m
-    ag = 1 / sqrt(g11 * dot(X[1], X[1]) - g12 * g12)
-    A = ((alpha, zero, zero), (beta, gamma, zero), (zero, zero, ag))
-    inv = ((1 / alpha, zero, zero), (-beta / ag, 1 / gamma, zero),   # X_k = inv[k][l] e_l
-           (zero, zero, 1 / ag))
+    g11, g12, g22 = dot(X[0], X[0]), dot(X[0], X[1]), dot(X[1], X[1])
+    n1, m, s = sqrt(g11), sqrt(g22 - g12 * g12 / g11), sqrt(g11 * g22 - g12 * g12)
+    R = ((n1, zero, zero), (g12 / n1, m, zero), (zero, zero, s))   # X_k = R[k][l] e_l
+    A = ((1 / n1, zero, zero), (-g12 / (g11 * m), 1 / m, zero), (zero, zero, 1 / s))
 
     def e(a, f):   # e_a(f), over A's nonzero entries
         return sum((A[a][i] * along(i, f) for i in range(3) if A[a][i] is not zero), zero)
 
-    def bracket(a, b):   # [e_a, e_b] in the e basis
-        v = [e(a, A[b][k]) - e(b, A[a][k])
-             + sum((A[a][i] * A[b][j] * c(i, j, k) for i in range(a + 1) for j in range(b + 1)),
-                   zero) for k in range(3)]
-        return tuple(sum((v[k] * inv[k][l] for k in range(l, 3)), zero) for l in range(3))
+    def bracket(a, b):   # [e_a, e_b] in the e basis, read through R
+        v = [sum((A[a][i] * A[b][j] * c(i, j, k) for i in range(a + 1) for j in range(b + 1)),
+                 zero) for k in range(3)]
+        return tuple(sum((v[k] * R[k][l] + A[a][k] * e(b, R[k][l]) - A[b][k] * e(a, R[k][l])
+                          for k in range(l, 3)), zero) for l in range(3))
 
     b12, b23, b31 = bracket(0, 1), bracket(1, 2), bracket(2, 0)
     t23, t31 = -b23[2], -b31[2]

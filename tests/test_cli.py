@@ -151,7 +151,13 @@ class TestAnalyze:
          "fields must hold exactly X1 and X2"),
         ('{"schema": "cartan-contact/1", "fields": {"X1": ["1", "0"], "X2": ["0", "1", "x"]}}',
          "fields.X1: expected a list of exactly 3 expression strings"),
-    ], ids=["not-an-object", "no-x2", "two-strings"])
+        ('{"schema": "cartan-contact/1", "fields": {"X1": ["1", "0", "-y"], '
+         '"X2": ["0", "1", "x"]}, "sampeling": {"points": [[1, 0, 0.3]]}}',
+         "spec.json: unknown key 'sampeling', expected one of schema, name, fields, sampling, tol"),
+        ('{"schema": "cartan-contact/1", "fields": {"X1": ["1", "0", "-y"], '
+         '"X2": ["0", "1", "x"]}, "tol": {"identiy": -5}}',
+         "tol: unknown key 'identiy', expected one of identity, regression"),
+    ], ids=["not-an-object", "no-x2", "two-strings", "unknown-top-level-key", "unknown-tol-key"])
     def test_malformed_spec_diagnostic(self, capsys, tmp_path, text, message):
         path = tmp_path / "spec.json"
         path.write_text(text)

@@ -6,7 +6,7 @@ relative: M against |M60|, and a1, a2 against sqrt(|M60|), the size of
 (a1, a2), since each alone is fixed only up to the frame's residual rotation
 and may cancel to far below it.  Where M60 is 0, a1, a2 and M are held to an
 absolute floor instead.  The worst error measured on these records is
-1.33e-14, M of a field-batch motion of cartan at (0.1, -0.2, 0.3).
+1.94e-14, M of a field-batch motion of cartan at (0.1, -0.2, 0.3).
 
 Uses the standard library only, so it runs wherever Tier-1 runs.
 """
@@ -73,8 +73,6 @@ def test_respan_pd_records_match_replay():
     assert misfits(rep) == []
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND 60: at k = -132 an underflow goes uncaught, "
-                   "and ok records are off by up to 1.3e-5")
 def test_scaled_field_batch_matches_replay_at_k_minus_132(field_batch):
     # tools/scaling.py's k = -132: the cases that raise ConsistencyError have
     # no records to check, the rest must match as at k = 0

@@ -28,7 +28,6 @@ from cartan_contact.reduction import (
     MixedTypeError,
     OUTPUTS,
     Point,
-    SampleRecord,
     absorb_translations,
     adapted_from_orthonormal,
     build_adapted,
@@ -654,11 +653,6 @@ class TestUnitTorsionIdentity:
                 fresh = [f.evaluate(s.point) for f in outputs]
                 assert shared == fresh
                 assert [getattr(s, key) for key in OUTPUTS] == fresh
-
-    def test_outputs_are_the_record_fields_after_det3(self):
-        # reduce fills a record positionally from the evaluated outputs
-        fields = SampleRecord._fields
-        assert fields[fields.index("det3") + 1:] == OUTPUTS
 
 
 class TestInvariance:
