@@ -32,6 +32,8 @@ of the same outputs, and for the residual T312 of :func:`reduce`.
 """
 from __future__ import annotations
 
+import math
+
 from ._record import Record, replace
 from .scalarfield import (ExpressionSyntaxError, Point, ScalarField, _evaluate_points,
                           _interning, _point_tuple, as_field, sqrt)
@@ -498,6 +500,12 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
     C^k_12 = delta^k_3 that the outputs apply exactly.  The six outputs are
     evaluated together (``scalarfield._evaluate_points``), so subtrees they
     share are computed once per point, and only the first point walks the DAG.
+    Far from unit size the pipeline is built on 2^-n (X1, X2), n the multiple
+    of 64 nearest a quarter of the binary exponent of |X1||X2||[X1, X2]| at
+    the median point (0 within 2^+-32 of unit size), and ``dd_eta3`` is
+    divided back by 4^-n: the factor is exact, moves no other output, and
+    keeps the DAG's products of many generator factors from underflow and
+    overflow, where a record could be wrong yet ``ok``.
 
     :func:`classify` runs first and is the pipeline's only gate: a holonomic
     or mixed classification raises :class:`HolonomicError` or
@@ -517,9 +525,13 @@ def reduce(D: Distribution, points, identity_tol: float = IDENTITY_TOL) -> Invar
             raise HolonomicError(cls)
         if cls.kind == "mixed":
             raise MixedTypeError(cls)
-        section = adapted_from_orthonormal(D.X1, D.X2)
+        exponents = sorted(math.frexp(r.scale)[1] for r in cls.records if r.scale is not None)
+        c = 2.0 ** (-64 * round(exponents[len(exponents) // 2] / 256))
+        X1, X2 = (D.X1, D.X2) if c == 1 else (D.X1 * c, D.X2 * c)
+        section = adapted_from_orthonormal(X1, X2)
         t12 = contact_torsion(section).t12
-        inv = replace(_frame_invariants(section.frame.fields), T312=t12)
+        inv = _frame_invariants(section.frame.fields)
+        inv = replace(inv, T312=t12, dd_eta3=inv.dd_eta3 / (c * c))
 
     samples = list(cls.samples())
     todo = [i for i, s in enumerate(samples) if s.status == "singular" and s.det3 is not None]

@@ -19,8 +19,7 @@ from pathlib import Path
 import pytest
 
 from cartan_contact import corpus
-from cartan_contact.reduction import (ConsistencyError, Distribution, default_grid_points,
-                                      reduce)
+from cartan_contact.reduction import Distribution, default_grid_points, reduce
 from cartan_contact.scalarfield import parse
 from decimal60 import replay
 from helpers import THREE_POINTS, respan_pd
@@ -73,17 +72,15 @@ def test_respan_pd_records_match_replay():
     assert misfits(rep) == []
 
 
-def test_scaled_field_batch_matches_replay_at_k_minus_132(field_batch):
-    # tools/scaling.py's k = -132: the cases that raise ConsistencyError have
-    # no records to check, the rest must match as at k = 0
-    c = 2.0 ** -132
-    bad = []
-    for dist, points in field_batch:
-        try:
-            bad += misfits(reduce(Distribution(dist.X1 * c, dist.X2 * c), points))
-        except ConsistencyError:
-            continue
-    assert bad == []
+@pytest.mark.parametrize("k", [-132, -176])
+def test_scaled_field_batch_matches_replay(field_batch, k):
+    # two of tools/scaling.py's scales: every record is ok and must match as
+    # at k = 0
+    c = 2.0 ** k
+    reports = [reduce(Distribution(dist.X1 * c, dist.X2 * c), points)
+               for dist, points in field_batch]
+    assert sum(rep.n_ok for rep in reports) == 132
+    assert [bad for bad in map(misfits, reports) if bad] == []
 
 
 def test_replay_is_exact_to_60_digits():

@@ -703,7 +703,8 @@ class TestInvariance:
         self.assert_same_m(reduce(respan_pd(), THREE_POINTS),
                            reduce(heisenberg, THREE_POINTS))
 
-    @pytest.mark.parametrize("k", [1, -1, 14, -14, 40, -40, 80, -80, 100, -100])
+    @pytest.mark.parametrize("k", [1, -1, 14, -14, 40, -40, 80, -80, 100, -100, 176, -176,
+                                   200, -200])
     @pytest.mark.parametrize("name", ["respan-pd", "near-holonomic-band"])
     def test_constant_scaling_is_exact(self, heisenberg, name, k):
         # X_i -> 2^k X_i changes neither the plane field nor its metric, and
